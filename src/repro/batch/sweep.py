@@ -28,10 +28,11 @@ own :class:`~repro.obs.spans.Tracer` from the propagated
 :class:`~repro.obs.spans.TraceContext` and streams finished spans into
 a JSONL shard keyed by its pid (``spans-<pid>.jsonl``).  Item compiles
 become ``item:<name>`` spans with ``cache.lookup`` / ``compile`` /
-``cache.store`` children, and the pipeline's :class:`~repro.obs.events.
-PhaseTimer` events (parse, translate, detect-frustum, ...) are
-converted into child spans too, so the merged trace shows the full
-pipeline nested inside every item, one lane per worker.
+``cache.store`` children, and the pass manager nests one
+``stage.<name>`` span per compiler stage inside ``compile``, so the
+merged trace shows the full pipeline inside every item, one lane per
+worker.  The same stage rows come back to the parent in every item's
+result (:attr:`SweepItemResult.timings`), traced or not.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import ReproError
-from ..obs.events import EventSink, Instrumentation, PhaseTimer
 from ..obs.metrics import Histogram, MetricsRegistry, default_registry
 from ..obs.spans import (
     NULL_TRACER,
@@ -65,6 +65,7 @@ __all__ = [
     "compile_many",
     "item_result_from_entry",
     "pool_worker_init",
+    "record_timings",
 ]
 
 _CACHE_OUTCOMES = ("hit", "miss", "corrupt", "store")
@@ -75,10 +76,12 @@ _STAGE_OUTCOMES = ("hit", "miss", "corrupt", "store", "hydrate")
 class SweepItemResult:
     """One manifest item's outcome, at its manifest position.
 
-    ``wall``, ``worker`` and ``phases`` are volatile measurement
+    ``wall``, ``worker`` and ``timings`` are volatile measurement
     artifacts (like ``cache_stats``): the item's compile wall-clock,
-    the lane that ran it, and — when span tracing was on — its
-    per-phase seconds.  ``stage_stats`` / ``stage_outcomes`` describe
+    the lane that ran it, and the pass manager's timer rows for its
+    compile (``stage.<name>`` self times, ``compile.unattributed``,
+    ``compile.total``; empty for a whole-payload cache hit).
+    ``stage_stats`` / ``stage_outcomes`` describe
     the per-stage artifact cache (counter totals, and each compiler
     stage's resolution: ``computed`` / ``hit`` / ``hydrated``) when the
     item went through the staged compiler.  None of them reach
@@ -98,7 +101,7 @@ class SweepItemResult:
     key: Optional[str] = None
     wall: float = 0.0
     worker: Optional[str] = None
-    phases: Optional[Dict[str, float]] = None
+    timings: Optional[Dict[str, float]] = None
     stage_stats: Optional[Dict[str, int]] = None
     stage_outcomes: Optional[Dict[str, str]] = None
 
@@ -226,7 +229,7 @@ class SweepResult:
         return sum(1 for item in looked_up if item.cache_hit) / len(looked_up)
 
     def timing_summary(self) -> Dict[str, Any]:
-        """The volatile per-lane / per-phase timing summary stored
+        """The volatile per-lane / per-stage timing summary stored
         under ``timing.spans`` in sweep ledger records.
 
         * ``lanes`` — items and busy seconds per worker lane;
@@ -234,19 +237,23 @@ class SweepResult:
           sweep's wall clock (items are independent, so the slowest
           chain of item spans is the busiest worker's), with its
           slowest items;
-        * ``phases`` — p50/p95 per pipeline phase (and ``item`` for
-          whole-item compiles) via
-          :meth:`~repro.obs.metrics.Histogram.percentile`, each tagged
-          ``exact_percentiles`` (``False`` once the retained-sample
-          window overflowed — printers mark those with ``~``).
+        * ``stages`` — p50/p95 per compile timer row (the stages in
+          stage order, then ``compile.unattributed`` and
+          ``compile.total``), then ``item`` for whole-item wall clocks,
+          via :meth:`~repro.obs.metrics.Histogram.percentile`, each
+          tagged ``exact_percentiles`` (``False`` once the
+          retained-sample window overflowed — printers mark those with
+          ``~``).
         """
-        lanes: Dict[str, Dict[str, Any]] = {}
-        phase_hists: Dict[str, Histogram] = {}
+        from ..compiler import in_report_order
 
-        def observe(phase: str, seconds: float) -> None:
-            hist = phase_hists.get(phase)
+        lanes: Dict[str, Dict[str, Any]] = {}
+        hists: Dict[str, Histogram] = {}
+
+        def observe(name: str, seconds: float) -> None:
+            hist = hists.get(name)
             if hist is None:
-                hist = phase_hists[phase] = Histogram(phase)
+                hist = hists[name] = Histogram(name)
             hist.observe(seconds)
 
         for item in self.items:
@@ -257,8 +264,8 @@ class SweepResult:
             lane["items"] += 1
             lane["busy_seconds"] += item.wall
             observe("item", item.wall)
-            for phase, seconds in (item.phases or {}).items():
-                observe(phase, seconds)
+            for name, seconds in (item.timings or {}).items():
+                observe(name, seconds)
 
         critical: Optional[Dict[str, Any]] = None
         if lanes:
@@ -279,35 +286,16 @@ class SweepResult:
             "busy_seconds": sum(item.wall for item in self.items),
             "lanes": lanes,
             "critical_path": critical,
-            "phases": {
+            "stages": {
                 name: {
                     "count": hist.count,
                     "p50": hist.percentile(50),
                     "p95": hist.percentile(95),
                     "exact_percentiles": hist.exact_percentiles,
                 }
-                for name, hist in sorted(phase_hists.items())
+                for name, hist in in_report_order(hists).items()
             },
         }
-
-
-class _PhaseSpanSink(EventSink):
-    """Converts the pipeline's :class:`PhaseTimer` events into child
-    spans of the currently open item span, and collects the per-phase
-    seconds the worker reports back to the parent."""
-
-    def __init__(self, tracer: Tracer) -> None:
-        self._tracer = tracer
-        self.phases: Dict[str, float] = {}
-
-    def emit(self, event) -> None:
-        if isinstance(event, PhaseTimer):
-            self._tracer.record_completed(
-                f"phase:{event.phase}", event.seconds
-            )
-            self.phases[event.phase] = (
-                self.phases.get(event.phase, 0.0) + event.seconds
-            )
 
 
 #: Per-process tracing state, installed by :func:`pool_worker_init` in pool
@@ -373,7 +361,6 @@ def compile_item_task(
     payload: Optional[Dict[str, Any]] = None
     error: Optional[Dict[str, str]] = None
     cache_hit = False
-    phases: Optional[Dict[str, float]] = None
     stage_outcomes: Optional[Dict[str, str]] = None
     started = perf_counter()
     with tracer.span(f"item:{item.name}", item=item.name, index=index):
@@ -382,9 +369,9 @@ def compile_item_task(
                 payload = cache.load(key)
             cache_hit = payload is not None
         if payload is None:
-            # Imported lazily (like compile_loop below): repro.compiler
-            # pulls in this package for the shared atomic-write helper,
-            # so a module-level import here would be circular.
+            # Imported lazily: repro.compiler pulls in this package for
+            # the shared atomic-write helper, so a module-level import
+            # here would be circular.
             from ..compiler import (
                 ArtifactStore,
                 compile_staged,
@@ -393,60 +380,28 @@ def compile_item_task(
                 stage_store_dir,
             )
 
-            if tracer.enabled:
-                phase_sink = _PhaseSpanSink(tracer)
-                obs = Instrumentation(
-                    sinks=[phase_sink],
-                    metrics=MetricsRegistry(enabled=False),
-                )
-            else:
-                phase_sink = None
-                obs = None
+            # With the cache on, a whole-payload miss runs against the
+            # per-stage artifact store beside the L1 entries, so any
+            # upstream work a previous (even differently parameterised)
+            # compile already did is reused.
+            store = (
+                ArtifactStore(stage_store_dir(cache_dir), registry=registry)
+                if cache is not None
+                else None
+            )
             try:
                 with tracer.span("compile"):
-                    if cache_dir is not None:
-                        # A whole-payload miss with the cache on: run
-                        # the staged compiler against the per-stage
-                        # artifact store beside the L1 entries, so any
-                        # upstream work a previous (even differently
-                        # parameterised) compile already did is reused.
-                        request = make_request(
-                            item.source,
-                            scalars=item.scalars,
-                            pipeline_stages=item.pipeline_stages,
-                            include_io=item.include_io,
-                            engine=item.engine,
-                            unroll=item.unroll,
-                        )
-                        store = ArtifactStore(
-                            stage_store_dir(cache_dir), registry=registry
-                        )
-                        payload, stage_outcomes = compile_staged(
-                            request,
-                            store,
-                            **(
-                                {"instrumentation": obs}
-                                if obs is not None
-                                else {}
-                            ),
-                        )
-                    else:
-                        from ..pipeline import compile_loop
-
-                        compiled = compile_loop(
-                            item.source,
-                            scalars=item.scalars,
-                            pipeline_stages=item.pipeline_stages,
-                            include_io=item.include_io,
-                            engine=item.engine,
-                            unroll=item.unroll,
-                            **(
-                                {"instrumentation": obs}
-                                if obs is not None
-                                else {}
-                            ),
-                        )
-                        payload = compiled.summary().payload()
+                    request = make_request(
+                        item.source,
+                        scalars=item.scalars,
+                        pipeline_stages=item.pipeline_stages,
+                        include_io=item.include_io,
+                        engine=item.engine,
+                        unroll=item.unroll,
+                    )
+                    payload, outcomes = compile_staged(
+                        request, store, registry=registry, tracer=tracer
+                    )
             except Exception as exc:  # noqa: BLE001 — isolate *any* failure
                 error = {"type": type(exc).__name__, "message": str(exc)}
                 stage = failing_stage(exc)
@@ -454,10 +409,9 @@ def compile_item_task(
                     error["stage"] = stage
             else:
                 if cache is not None:
+                    stage_outcomes = outcomes
                     with tracer.span("cache.store"):
                         cache.store(key, payload)
-            if phase_sink is not None:
-                phases = phase_sink.phases
     wall = perf_counter() - started
     stats = {
         outcome: registry.counter(f"batch.cache.{outcome}").value
@@ -479,7 +433,10 @@ def compile_item_task(
         "key": key,
         "wall": wall,
         "worker": tracer.worker if tracer.enabled else f"worker-{os.getpid()}",
-        "phases": phases,
+        "timings": {
+            name: timer["total"]
+            for name, timer in registry.dump()["timers"].items()
+        },
         "stage_stats": stage_stats,
         "stage_outcomes": stage_outcomes,
     }
@@ -507,7 +464,7 @@ def item_result_from_entry(entry: Mapping[str, Any]) -> SweepItemResult:
         key=entry["key"],
         wall=entry["wall"],
         worker=entry["worker"],
-        phases=entry["phases"],
+        timings=entry["timings"],
         stage_stats=entry.get("stage_stats"),
         stage_outcomes=entry.get("stage_outcomes"),
     )
@@ -528,7 +485,20 @@ def compile_one(
         _as_item(item, 0),
         str(cache_dir) if cache_dir is not None else None,
     )
-    return item_result_from_entry(compile_item_task(task))
+    result = item_result_from_entry(compile_item_task(task))
+    registry = default_registry()
+    if registry.enabled:
+        record_timings(registry, result.timings)
+    return result
+
+
+def record_timings(
+    registry: MetricsRegistry, timings: Optional[Mapping[str, float]]
+) -> None:
+    """Replay one compile's timer rows (:attr:`SweepItemResult.timings`,
+    measured in whichever process ran it) into ``registry``."""
+    for name, seconds in (timings or {}).items():
+        registry.record_time(name, seconds)
 
 
 def compile_many(
@@ -557,8 +527,10 @@ def compile_many(
         in.  Omit both to compile everything from scratch.
     registry:
         Metrics registry for the aggregated ``batch.cache.*`` /
-        ``batch.sweep.*`` counters and the ``sweep.item`` /
-        ``sweep.phase.*`` timers (default: the process-wide one).
+        ``batch.sweep.*`` counters, the ``sweep.item`` timer and every
+        item's compile timer rows (``stage.<name>``,
+        ``compile.unattributed``, ``compile.total``; default: the
+        process-wide one).
     progress:
         A :class:`~repro.batch.progress.SweepProgress` reporter.  Its
         ``dispatch``/``finish``/``close`` protocol is driven as items
@@ -668,6 +640,5 @@ def compile_many(
     target_registry.counter("batch.sweep.errors").inc(result.n_errors)
     for item in results:
         target_registry.record_time("sweep.item", item.wall)
-        for phase, seconds in (item.phases or {}).items():
-            target_registry.record_time(f"sweep.phase.{phase}", seconds)
+        record_timings(target_registry, item.timings)
     return result

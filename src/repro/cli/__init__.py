@@ -42,7 +42,7 @@ Commands
 ``bench-check``  compare ``benchmarks/results/*.json`` against the
               committed baseline and exit non-zero on regressions.
 
-Every command accepts ``--profile``, which prints a per-phase
+Every command accepts ``--profile``, which prints a per-stage
 wall-clock table after the normal output; loop commands also accept
 ``--ledger [DIR]`` to append a normalized run record to the append-only
 JSONL ledger (default ``benchmarks/ledger/runs.jsonl``).  Logging is
@@ -123,34 +123,40 @@ _COMMANDS = {
 
 
 def _print_profile(out) -> None:
-    """Render the per-phase wall-clock table from the process-wide
-    metrics registry (populated by ``--profile``)."""
+    """Render the wall-clock profile from the process-wide metrics
+    registry (populated by ``--profile``): the compile breakdown —
+    ``stage.<name>`` rows in stage order, then ``compile.unattributed``
+    and ``compile.total``, which they sum to — and, apart, every other
+    timer (library calls run inside the stages; none is added in)."""
+    from ..compiler import split_timers
     from ..obs import default_registry
     from ..report import render_table
 
     timers = default_registry().dump()["timers"]
     if not timers:
         print(
-            "\n--profile: no phases were recorded by this command "
+            "\n--profile: no timings were recorded by this command "
             "(nothing was compiled or simulated)",
             file=out,
         )
         return
-    rows = [
-        [name, stats["count"], f"{stats['total']:.6f}", f"{stats['mean']:.6f}"]
-        for name, stats in sorted(
-            timers.items(), key=lambda item: -item[1]["total"]
-        )
-    ]
-    print(file=out)
-    print(
-        render_table(
-            ["phase", "calls", "total s", "mean s"],
-            rows,
-            title="Wall-clock profile",
+    breakdown, library = split_timers(timers)
+    for title, block in (
+        ("Wall-clock profile: compiler stages", breakdown.items()),
+        (
+            "Other timers (library calls; not added to the compile total)",
+            sorted(library.items(), key=lambda item: -item[1]["total"]),
         ),
-        file=out,
-    )
+    ):
+        rows = [
+            [name, t["count"], f"{t['total']:.6f}", f"{t['mean']:.6f}"]
+            for name, t in block
+        ]
+        if rows:
+            table = render_table(
+                ["timer", "calls", "total s", "mean s"], rows, title=title
+            )
+            print(f"\n{table}", file=out)
 
 
 def _append_ledger_record(args: argparse.Namespace, argv, out) -> None:
@@ -196,7 +202,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     profiling = getattr(args, "profile", False)
-    # --ledger wants phase timings in its record and --metrics-out
+    # --ledger wants stage timings in its record and --metrics-out
     # wants counters/timers in its exposition, so both enable the
     # registry exactly like --profile (without printing the table)
     collecting = (

@@ -44,7 +44,7 @@ def add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-phase wall-clock table after the output",
+        help="print a per-stage wall-clock table after the output",
     )
     sub.add_argument(
         "--ledger",
@@ -98,19 +98,6 @@ def parse_scalars(pairs: Sequence[str]) -> Dict[str, float]:
     return scalars
 
 
-def instrumentation(args: argparse.Namespace):
-    """The compile-time instrumentation implied by the global flags:
-    profiling and ledger runs record phases into the process-wide
-    registry, otherwise the shared no-op keeps every hook dormant."""
-    from ..obs import Instrumentation, NULL_INSTRUMENTATION, default_registry
-
-    if getattr(args, "profile", False) or (
-        getattr(args, "ledger", None) is not None
-    ):
-        return Instrumentation(metrics=default_registry())
-    return NULL_INSTRUMENTATION
-
-
 def compile_from_args(args: argparse.Namespace, stages: Optional[int] = None):
     """Read the loop file and run it through the compile façade."""
     from ..pipeline import compile_loop
@@ -122,7 +109,6 @@ def compile_from_args(args: argparse.Namespace, stages: Optional[int] = None):
         scalars=parse_scalars(args.scalar),
         pipeline_stages=stages,
         include_io=not args.abstract,
-        instrumentation=instrumentation(args),
         engine=getattr(args, "engine", "event"),
         unroll=getattr(args, "unroll", 1),
     )

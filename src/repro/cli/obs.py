@@ -187,7 +187,7 @@ def add_bench_check_parser(subparsers) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="ignore phases whose baseline total is below this (default 0.05)",
+        help="ignore timers whose baseline total is below this (default 0.05)",
     )
     bench_check.add_argument(
         "--wall-hard",
@@ -202,7 +202,7 @@ def add_bench_check_parser(subparsers) -> None:
     bench_check.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-phase wall-clock table after the output",
+        help="print a per-stage wall-clock table after the output",
     )
 
 
@@ -405,7 +405,8 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
     the bridge from the append-only ledger to scrape-based tooling."""
     import pathlib
 
-    from ..obs import dump_from_record, render_openmetrics
+    from ..compiler import stage_ordered_exposition
+    from ..obs import dump_from_record
     from ..obs.ledger import RUNS_FILE, default_ledger_dir, load_records
 
     source = (
@@ -419,7 +420,7 @@ def cmd_metrics(args: argparse.Namespace, out) -> int:
     if not records:
         wanted = f" named {args.name!r}" if args.name is not None else ""
         raise ReproError(f"no ledger record{wanted} in {source}")
-    exposition = render_openmetrics(dump_from_record(records[-1]))
+    exposition = stage_ordered_exposition(dump_from_record(records[-1]))
     if args.output is not None:
         pathlib.Path(args.output).write_text(exposition, encoding="utf-8")
         print(f"wrote OpenMetrics exposition to {args.output}", file=out)

@@ -60,7 +60,7 @@ def add_sweep_parser(subparsers) -> None:
     sweep.add_argument(
         "--profile",
         action="store_true",
-        help="print a per-phase wall-clock table after the output",
+        help="print a per-stage wall-clock table after the output",
     )
     sweep.add_argument(
         "--ledger",
@@ -254,9 +254,10 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
         print(f"wrote merged payload to {args.output}", file=out)
 
     if args.metrics_out is not None:
-        from ..obs import default_registry, render_openmetrics
+        from ..compiler import stage_ordered_exposition
+        from ..obs import default_registry
 
-        exposition = render_openmetrics(default_registry())
+        exposition = stage_ordered_exposition(default_registry())
         if args.metrics_out == "-":
             out.write(exposition)
         else:
@@ -294,7 +295,7 @@ def cmd_sweep(args: argparse.Namespace, out) -> int:
 
 def _render_timing_summary(timing) -> str:
     """The post-sweep critical-path block: the lane that bounded the
-    wall clock, its slowest items, and per-phase p50/p95 (``~`` marks
+    wall clock, its slowest items, and per-stage p50/p95 (``~`` marks
     percentiles from an overflowed sample window)."""
     lines = []
     critical = timing.get("critical_path")
@@ -306,18 +307,18 @@ def _render_timing_summary(timing) -> str:
         )
         for entry in critical["items"]:
             lines.append(f"  {entry['seconds']:9.3f}s  {entry['name']}")
-    phases = timing.get("phases") or {}
-    if phases:
-        lines.append("phase percentiles (s):")
-        for name, stats in phases.items():
+    stages = timing.get("stages") or {}
+    if stages:
+        lines.append("stage percentiles (s):")
+        for name, stats in stages.items():
             approx = "" if stats.get("exact_percentiles", True) else "~"
             p50 = stats.get("p50")
             p95 = stats.get("p95")
             lines.append(
-                f"  {name:<20} n={stats['count']:<5} "
+                f"  {name:<22} n={stats['count']:<5} "
                 f"p50={approx}{p50:.6f} p95={approx}{p95:.6f}"
                 if p50 is not None and p95 is not None
-                else f"  {name:<20} n={stats['count']}"
+                else f"  {name:<22} n={stats['count']}"
             )
     return "\n".join(lines)
 

@@ -4,11 +4,11 @@ The monolithic ``compile_loop`` flow, decomposed into declared, pure,
 schema-versioned passes:
 
 * :mod:`repro.compiler.stages` — the stage registry (parse through
-  summarize), each with typed input/output artifacts and the legacy
-  instrumentation phase it reports under;
+  summarize), each with typed input/output artifacts;
 * :mod:`repro.compiler.manager` — the pull-based
   :class:`~repro.compiler.manager.PassManager`, request-key
-  derivation, hydration and stage-tagged failure attribution;
+  derivation, hydration, stage-tagged failure attribution and the
+  per-stage timing every compile reports (``stage.<name>`` timers);
 * :mod:`repro.compiler.store` — the per-stage content-addressed
   :class:`~repro.compiler.store.ArtifactStore`;
 * :mod:`repro.compiler.artifacts` — canonical dumps and the
@@ -31,9 +31,12 @@ from .manager import (
     compile_live,
     compile_staged,
     failing_stage,
+    in_report_order,
     make_request,
     mark_stage,
     request_key,
+    split_timers,
+    stage_ordered_exposition,
 )
 from .result import (
     PAYLOAD_SCHEMA_VERSION,
@@ -83,6 +86,7 @@ __all__ = [
     "failing_stage",
     "fraction_from",
     "graph_dump",
+    "in_report_order",
     "loop_dump",
     "make_request",
     "mark_stage",
@@ -90,5 +94,7 @@ __all__ = [
     "request_key",
     "schedule_from_payload",
     "schedule_payload",
+    "split_timers",
+    "stage_ordered_exposition",
     "stage_store_dir",
 ]

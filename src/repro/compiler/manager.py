@@ -10,7 +10,9 @@ stage's *request key* —
 — and then either loads the artifact from the
 :class:`~repro.compiler.store.ArtifactStore` (a **hit**: only the JSON
 projection comes back, no live objects) or runs the stage's compute
-under its legacy instrumentation phase and stores the result.
+and stores the result.  Without a store there is no key to derive, and
+fingerprints are derived only when read, so a storeless compile pays
+for neither.
 
 Because the key hashes upstream **fingerprints** rather than upstream
 request parameters, two requests that differ only in a downstream
@@ -35,19 +37,31 @@ tagged with the stage name (:func:`mark_stage` — first tag wins, the
 original exception type is preserved), so sweep records, the service
 and ``repro explain`` can name the failing stage without parsing
 messages.
+
+**Stage timing.**  Each compile measures every stage's *self time*
+(key derivation, store load, compute or hydration, store write — not
+the upstream stages it pulls in) as a ``stage.<name>`` row, then
+:data:`UNATTRIBUTED_TIMER` and :data:`TOTAL_TIMER`; the rows sum to
+the total.  ``@timed`` library timers run inside the stages and are
+never added to them (:func:`split_timers`).
 """
 
 from __future__ import annotations
 
 import hashlib
-from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from time import perf_counter
+from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
 
 from ..errors import AnalysisError
 from ..loops.unroll import validate_unroll
 from ..obs.events import Instrumentation, NULL_INSTRUMENTATION
+from ..obs.metrics import MetricsRegistry, default_registry
+from ..obs.openmetrics import render_openmetrics
 from ..obs.schema import stable_json
+from ..obs.spans import NULL_TRACER, Tracer
 from .artifacts import content_fingerprint
 from .result import CompiledLoop, fraction_from
 from .stages import (
@@ -63,13 +77,48 @@ from .store import STORE_SCHEMA_VERSION, ArtifactStore
 __all__ = [
     "Artifact",
     "PassManager",
+    "TOTAL_TIMER",
+    "UNATTRIBUTED_TIMER",
     "compile_live",
     "compile_staged",
     "failing_stage",
+    "in_report_order",
     "make_request",
     "mark_stage",
     "request_key",
+    "split_timers",
+    "stage_ordered_exposition",
 ]
+
+#: One compile's wall clock, and the part of it no stage row covers.
+TOTAL_TIMER = "compile.total"
+UNATTRIBUTED_TIMER = "compile.unattributed"
+
+
+def split_timers(timers: Mapping[str, Any]) -> Tuple[Dict, Dict]:
+    """``(breakdown, library)``: the ``stage.<name>`` rows in stage
+    order, then :data:`UNATTRIBUTED_TIMER` and :data:`TOTAL_TIMER`;
+    and every other timer, by name, to be listed apart."""
+    names = [f"stage.{name}" for name in STAGES]
+    names += [UNATTRIBUTED_TIMER, TOTAL_TIMER]
+    breakdown = {name: timers[name] for name in names if name in timers}
+    library = {n: timers[n] for n in sorted(timers) if n not in breakdown}
+    return breakdown, library
+
+
+def in_report_order(timers: Mapping[str, Any]) -> Dict[str, Any]:
+    """``timers`` with the :func:`split_timers` breakdown first."""
+    breakdown, library = split_timers(timers)
+    return {**breakdown, **library}
+
+
+def stage_ordered_exposition(source: Any) -> str:
+    """OpenMetrics text for a registry or a ``dump()``-shaped mapping,
+    its timers in :func:`in_report_order`."""
+    dump = dict(source.dump() if hasattr(source, "dump") else source)
+    dump["timers"] = in_report_order(dump.get("timers") or {})
+    return render_openmetrics(dump)
+
 
 #: Attribute carrying a stage name on an exception raised inside it.
 STAGE_ATTR = "repro_stage"
@@ -149,24 +198,31 @@ class Artifact:
     ``live`` is None when the artifact came from the store and has not
     been hydrated; ``outcome`` is ``"computed"``, ``"hit"`` or
     ``"hydrated"`` (a hit whose live objects were rebuilt on demand).
+    ``fingerprint`` is derived on first read: only a store reads it
+    (to key downstream stages and to write the artifact).
     """
 
     stage: str
-    key: str
-    fingerprint: str
     data: Dict[str, Any]
     live: Optional[Dict[str, Any]]
     outcome: str
+    derive_fingerprint: Callable[[], str] = field(repr=False)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The content fingerprint of this output."""
+        return self.derive_fingerprint()
 
 
 class PassManager:
     """Pull-based stage resolution for one :class:`CompileRequest`.
 
-    With no store, every requested stage computes exactly once (the
-    legacy monolithic behavior, phase timings included).  With a
-    store, stages resolve to cached artifacts wherever the request key
-    matches, and only the genuinely affected suffix of the pipeline
-    recomputes.
+    With no store, every requested stage computes exactly once.  With
+    a store, stages resolve to cached artifacts wherever the request
+    key matches, and only the genuinely affected suffix of the
+    pipeline recomputes.  :meth:`run` reports the stage timings to
+    ``registry`` (default: the process-wide one) while it is enabled
+    and to :attr:`timings`; ``tracer`` gets a span per stage.
     """
 
     def __init__(
@@ -174,6 +230,8 @@ class PassManager:
         request: CompileRequest,
         store: Optional[ArtifactStore] = None,
         instrumentation: Optional[Instrumentation] = None,
+        registry: Optional[MetricsRegistry] = None,
+        tracer: Optional[Tracer] = None,
     ) -> None:
         self.request = request
         self.store = store
@@ -182,8 +240,38 @@ class PassManager:
             if instrumentation is not None
             else NULL_INSTRUMENTATION
         )
+        self.registry = (
+            registry if registry is not None else default_registry()
+        )
+        self.tracer = tracer if tracer is not None else NULL_TRACER
+        #: The last :meth:`run`'s timer rows (seconds), in report order.
+        self.timings: Dict[str, float] = {}
         self._artifacts: Dict[str, Artifact] = {}
         self._ctx = StageContext(self, request)
+        self._self_seconds: Dict[str, float] = {}
+        self._running: Optional[str] = None
+        self._since = 0.0
+
+    @contextmanager
+    def _timing(self, name: str) -> Iterator[None]:
+        """Charge time to stage ``name`` until exit (pausing the stage
+        that pulled it in), inside a ``stage.<name>`` span."""
+        outer = self._switch(name)
+        try:
+            with self.tracer.span(f"stage.{name}"):
+                yield
+        finally:
+            self._switch(outer)
+
+    def _switch(self, name: Optional[str]) -> Optional[str]:
+        """Charge the time since the last switch to the running stage,
+        make ``name`` the running one and return the previous one."""
+        now, running = perf_counter(), self._running
+        if running is not None:
+            spent = self._self_seconds.get(running, 0.0)
+            self._self_seconds[running] = spent + now - self._since
+        self._running, self._since = name, now
+        return running
 
     # ------------------------------------------------------------------
     # Artifact resolution
@@ -192,54 +280,49 @@ class PassManager:
         """Resolve ``name`` (memoised per manager): dependencies first,
         then store lookup, then compute-and-store."""
         found = self._artifacts.get(name)
-        if found is not None:
-            return found
-        stage = STAGES[name]
-        deps = {dep: self.artifact(dep).fingerprint for dep in stage.deps}
-        key = request_key(stage, self.request, deps)
-        if stage.cacheable and self.store is not None:
-            entry = self.store.load(name, key)
+        if found is None:
+            with self._timing(name):
+                found = self._resolve(STAGES[name])
+            self._artifacts[name] = found
+        return found
+
+    def _resolve(self, stage: Stage) -> Artifact:
+        deps = {dep: self.artifact(dep) for dep in stage.deps}
+        store = self.store if stage.cacheable else None
+        if store is not None:
+            key = request_key(
+                stage,
+                self.request,
+                {name: dep.fingerprint for name, dep in deps.items()},
+            )
+            entry = store.load(stage.name, key)
             if entry is not None:
-                found = Artifact(
-                    stage=name,
-                    key=key,
-                    fingerprint=entry["fingerprint"],
+                return Artifact(
+                    stage=stage.name,
                     data=entry["data"],
                     live=None,
                     outcome="hit",
+                    derive_fingerprint=lambda: entry["fingerprint"],
                 )
-                self._artifacts[name] = found
-                return found
-        found = self._compute(stage, key)
-        self._artifacts[name] = found
-        if stage.cacheable and self.store is not None:
-            self.store.store(name, key, found.fingerprint, found.data)
-        return found
-
-    def _compute(self, stage: Stage, key: str) -> Artifact:
-        scope = (
-            self.obs.phase(stage.phase)
-            if stage.phase is not None
-            else nullcontext()
-        )
         try:
-            with scope:
-                output = stage.compute(self._ctx)
+            output = stage.compute(self._ctx)
         except Exception as exc:
             raise mark_stage(exc, stage.name)
-        content = (
-            output.content if output.content is not None else output.data
-        )
-        return Artifact(
+
+        def derive_fingerprint() -> str:
+            content = output.content() if output.content else output.data
+            return content_fingerprint(stage.name, stage.version, content)
+
+        found = Artifact(
             stage=stage.name,
-            key=key,
-            fingerprint=content_fingerprint(
-                stage.name, stage.version, content
-            ),
             data=output.data,
             live=output.live,
             outcome="computed",
+            derive_fingerprint=derive_fingerprint,
         )
+        if store is not None:
+            store.store(stage.name, key, found.fingerprint, found.data)
+        return found
 
     def _hydrate(self, artifact: Artifact) -> None:
         """Rebuild a store-loaded artifact's live objects: via the
@@ -247,13 +330,8 @@ class PassManager:
         its compute over (recursively hydrated) upstreams.  The stored
         data and fingerprint stand — the stages are deterministic."""
         stage = STAGES[artifact.stage]
-        scope = (
-            self.obs.phase(stage.phase)
-            if stage.phase is not None
-            else nullcontext()
-        )
         try:
-            with scope:
+            with self._timing(stage.name):
                 if stage.hydrate is not None:
                     artifact.live = stage.hydrate(self._ctx, artifact.data)
                 else:
@@ -293,17 +371,24 @@ class PassManager:
     # ------------------------------------------------------------------
     # Driving a whole compilation
     # ------------------------------------------------------------------
-    def run(self, summary: bool = False) -> None:
-        """Resolve the full stage sequence of one compilation in the
-        legacy phase order, including the conditional suffixes
-        (``verify``, the SCP stages, ``summarize``)."""
+    def run(self) -> None:
+        """Resolve the full stage sequence of one compilation, including
+        the conditional suffixes (``verify``, the SCP stages), through
+        ``summarize``; then report the stage timings."""
+        started = perf_counter()
+        try:
+            self._run()
+        finally:
+            self._report(perf_counter() - started)
+
+    def _run(self) -> None:
         request = self.request
         for name in CORE_STAGE_ORDER:
             self.artifact(name)
         if request.unroll == "auto":
-            # The auto acceptance check of the legacy "rate" phase:
-            # the selected factor must close the gap to γ* exactly.
-            # It compares projections only, so hits never hydrate.
+            # The auto acceptance check: the selected factor must close
+            # the gap to γ* exactly.  It compares projections only, so
+            # hits never hydrate.
             achieved = fraction_from(self.data("rate")["achieved_rate"])
             bound = fraction_from(
                 self.data("rate_analysis")["dependence_bound"]
@@ -325,8 +410,17 @@ class PassManager:
                 self.artifact(name)
             if request.verify:
                 self.artifact("scp_verify")
-        if summary:
-            self.artifact("summarize")
+        self.artifact("summarize")
+
+    def _report(self, total: float) -> None:
+        spent = self._self_seconds
+        rows = {f"stage.{n}": spent[n] for n in STAGES if n in spent}
+        rows[UNATTRIBUTED_TIMER] = total - sum(rows.values())
+        rows[TOTAL_TIMER] = total
+        self.timings = rows
+        if self.registry.enabled:
+            for name, seconds in rows.items():
+                self.registry.record_time(name, seconds)
 
 
 def compile_live(
@@ -358,16 +452,23 @@ def compile_live(
         result.scp_frustum = manager.live("scp_simulate", "frustum")
         result.scp_behavior = manager.live("scp_simulate", "behavior")
         result.scp_schedule = manager.live("scp_extract", "schedule")
+    # the summary shares this compile's schedules (summarize rebuilt them)
+    result.summarized = replace(
+        manager.live("summarize", "summary"),
+        schedule=result.schedule,
+        scp_schedule=result.scp_schedule,
+    )
     return result
 
 
 def compile_staged(
     request: CompileRequest,
-    store: ArtifactStore,
-    instrumentation: Optional[Instrumentation] = None,
+    store: Optional[ArtifactStore] = None,
+    registry: Optional[MetricsRegistry] = None,
+    tracer: Optional[Tracer] = None,
 ) -> Tuple[Dict[str, Any], Dict[str, str]]:
-    """Run one compilation against the per-stage artifact store and
-    return ``(payload, outcomes)``: the deterministic
+    """Run one compilation (against the per-stage artifact store, when
+    one is given) and return ``(payload, outcomes)``: the deterministic
     ``CompiledLoopSummary.payload()`` dict plus the per-stage
     resolution outcomes (``computed`` / ``hit`` / ``hydrated``).
 
@@ -375,7 +476,7 @@ def compile_staged(
     warm request hydrates nothing — it costs a handful of JSON reads.
     """
     manager = PassManager(
-        request, store=store, instrumentation=instrumentation
+        request, store=store, registry=registry, tracer=tracer
     )
-    manager.run(summary=True)
+    manager.run()
     return manager.data("summarize")["payload"], manager.outcomes

@@ -19,7 +19,7 @@ working and every payload stays byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -322,6 +322,10 @@ class CompiledLoop:
     unroll: int = 1
     achieved_rate: Optional[Fraction] = None
     dependence_bound: Optional[Fraction] = None
+    #: The summary the ``summarize`` stage assembled for this compile.
+    summarized: Optional[CompiledLoopSummary] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def optimal_rate(self) -> Fraction:
@@ -344,7 +348,10 @@ class CompiledLoop:
 
     def summary(self) -> CompiledLoopSummary:
         """The deterministic, serialisable projection of this result —
-        what the compile cache stores and ``repro sweep`` merges."""
+        what the compile cache stores and ``repro sweep`` merges (for a
+        compile, the one its ``summarize`` stage assembled)."""
+        if self.summarized is not None:
+            return self.summarized
         return CompiledLoopSummary(
             loop=self.translation.loop.name,
             engine=self.engine,

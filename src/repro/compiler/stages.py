@@ -29,12 +29,8 @@ in-memory objects (what downstream computes and ``compile_loop``
 consume), and an optional richer ``content`` structure that feeds the
 fingerprint when the projection alone would under-identify the result.
 
-``phase`` names keep the pre-refactor instrumentation vocabulary
-(``phase.parse`` ... ``phase.scp-verify`` timers and
-:class:`~repro.obs.events.PhaseTimer` events), so existing profiles,
-traces, dashboards and tests read unchanged; the stages that the
-decomposition split out of fused phases (``rate_analysis``,
-``summarize``) get new names of their own.
+The stage names are also the timing vocabulary: the pass manager
+reports each stage's self time as a ``stage.<name>`` timer and span.
 """
 
 from __future__ import annotations
@@ -115,15 +111,16 @@ class StageOutput:
 
     ``data`` is the JSON-ready projection the artifact store persists;
     ``live`` holds the in-memory objects downstream computes need;
-    ``content`` (optional) is a richer canonical structure hashed for
-    the fingerprint when ``data`` alone would under-identify the
+    ``content`` (optional) builds the richer canonical structure hashed
+    for the fingerprint when ``data`` alone would under-identify the
     output (e.g. ``translate`` stores a light projection but
-    fingerprints the full graph dump).
+    fingerprints the full graph dump).  It is a zero-argument callable
+    because the fingerprint is derived only when something reads it.
     """
 
     data: Dict[str, Any]
     live: Dict[str, Any] = field(default_factory=dict)
-    content: Optional[Any] = None
+    content: Optional[Callable[[], Any]] = None
 
 
 class StageContext:
@@ -174,7 +171,6 @@ class Stage:
 
     name: str
     version: int
-    phase: Optional[str]
     deps: Tuple[str, ...]
     params: Callable[[CompileRequest], Dict[str, Any]]
     compute: Callable[[StageContext], StageOutput]
@@ -246,22 +242,22 @@ def _parse(ctx: StageContext) -> StageOutput:
             "n_statements": len(loop.statements),
         },
         live={"loop": loop},
-        content=loop_dump(loop),
+        content=lambda: loop_dump(loop),
     )
 
 
 def _translate(ctx: StageContext) -> StageOutput:
     translation = translate(ctx.live("parse", "loop"), ctx.request.scalars)
-    dump = graph_dump(translation.graph)
+    graph = translation.graph
     return StageOutput(
         data={
             "loop": translation.loop.name,
-            "n_actors": len(dump["actors"]),
-            "n_arcs": len(dump["arcs"]),
+            "n_actors": len(graph.actors),
+            "n_arcs": len(graph.arcs),
         },
-        live={"translation": translation, "graph": translation.graph},
-        content={
-            "graph": dump,
+        live={"translation": translation, "graph": graph},
+        content=lambda: {
+            "graph": graph_dump(graph),
             "scalar_bindings": dict(translation.scalar_bindings),
             "root_of": dict(translation.root_of),
             "feedback_initial_keys": {
@@ -297,15 +293,14 @@ def _unroll(ctx: StageContext) -> StageOutput:
     else:
         factor = requested
     unrolled = unroll_graph(graph, factor) if factor > 1 else graph
-    dump = graph_dump(unrolled)
     return StageOutput(
         data={
             "factor": factor,
-            "n_actors": len(dump["actors"]),
-            "n_arcs": len(dump["arcs"]),
+            "n_actors": len(unrolled.actors),
+            "n_arcs": len(unrolled.arcs),
         },
         live={"graph": unrolled, "factor": factor},
-        content={"factor": factor, "graph": dump},
+        content=lambda: {"factor": factor, "graph": graph_dump(unrolled)},
     )
 
 
@@ -320,7 +315,7 @@ def _build_pn(ctx: StageContext) -> StageOutput:
             "transitions": list(pn.net.transition_names),
         },
         live={"pn": pn},
-        content=net_dump(pn),
+        content=lambda: net_dump(pn),
     )
 
 
@@ -411,7 +406,7 @@ def _scp_build(ctx: StageContext) -> StageOutput:
         live={"scp": scp, "policy": policy},
         # SCP construction is a pure function of the SDSP-PN and the
         # depth, so the upstream fingerprint identifies it exactly.
-        content={
+        content=lambda: {
             "pn": ctx.fingerprint("build_pn"),
             "stages": scp.stages,
         },
@@ -527,7 +522,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="parse",
             version=1,
-            phase="parse",
             deps=(),
             params=lambda r: {"source": r.source},
             compute=_parse,
@@ -535,7 +529,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="translate",
             version=1,
-            phase="translate",
             deps=("parse",),
             params=lambda r: {"scalars": r.scalars},
             compute=_translate,
@@ -543,7 +536,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="rate_analysis",
             version=1,
-            phase="rate-analysis",
             deps=("translate",),
             params=lambda r: {"include_io": r.include_io},
             compute=_rate_analysis,
@@ -551,7 +543,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="unroll",
             version=1,
-            phase="unroll",
             deps=("translate", "rate_analysis"),
             params=lambda r: {
                 "unroll": r.unroll,
@@ -562,7 +553,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="build_pn",
             version=1,
-            phase="build-sdsp-pn",
             deps=("unroll",),
             params=lambda r: {"include_io": r.include_io},
             compute=_build_pn,
@@ -570,7 +560,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="simulate",
             version=1,
-            phase="detect-frustum",
             deps=("build_pn",),
             params=lambda r: {"engine": r.engine},
             compute=_simulate,
@@ -578,7 +567,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="extract_kernel",
             version=1,
-            phase="derive-schedule",
             deps=("simulate",),
             params=lambda r: {},
             compute=_extract_kernel,
@@ -587,7 +575,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="rate",
             version=1,
-            phase="rate",
             deps=("build_pn", "simulate", "unroll"),
             params=lambda r: {},
             compute=_rate,
@@ -595,7 +582,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="verify",
             version=1,
-            phase="verify",
             deps=("build_pn", "extract_kernel", "rate"),
             params=lambda r: {"verify_iterations": r.verify_iterations},
             compute=_verify,
@@ -603,7 +589,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="scp_build",
             version=1,
-            phase="scp-build",
             deps=("build_pn",),
             params=lambda r: {"pipeline_stages": r.pipeline_stages},
             compute=_scp_build,
@@ -611,7 +596,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="scp_simulate",
             version=1,
-            phase="scp-detect-frustum",
             deps=("scp_build",),
             params=lambda r: {"engine": r.engine},
             compute=_scp_simulate,
@@ -619,7 +603,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="scp_extract",
             version=1,
-            phase="scp-derive-schedule",
             deps=("scp_simulate", "scp_build"),
             params=lambda r: {},
             compute=_scp_extract,
@@ -628,7 +611,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="scp_verify",
             version=1,
-            phase="scp-verify",
             deps=("build_pn", "scp_extract"),
             params=lambda r: {
                 "verify_iterations": r.verify_iterations,
@@ -639,7 +621,6 @@ STAGES: Dict[str, Stage] = {
         Stage(
             name="summarize",
             version=1,
-            phase=None,
             deps=(
                 "parse",
                 "rate_analysis",
@@ -661,9 +642,7 @@ STAGES: Dict[str, Stage] = {
     )
 }
 
-#: The execution order of the unconditional stages — the legacy phase
-#: order of the monolithic ``compile_loop``, with ``rate_analysis``
-#: split out of the old fused ``unroll`` phase.
+#: The execution order of the unconditional stages.
 CORE_STAGE_ORDER: Tuple[str, ...] = (
     "parse",
     "translate",

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Tuple
 
+from ..obs.metrics import timed
 from ..petrinet.analysis import critical_cycle_report
 from ..petrinet.behavior import CyclicFrustum, detect_frustum
 from ..petrinet.simulator import ConflictResolutionPolicy
@@ -61,6 +62,7 @@ class TheoreticalBounds:
         return "single" if self.critical_cycle_count <= 1 else "multiple"
 
 
+@timed("core.theoretical_bounds")
 def theoretical_bounds(pn: SdspPetriNet) -> TheoreticalBounds:
     """Classify the net (single vs multiple critical cycles, counting
     critical self-loops) and instantiate the matching bound."""

@@ -4,10 +4,10 @@ This package turns every simulation into an inspectable timeline and
 gives the performance work a measurement substrate:
 
 * :mod:`repro.obs.events` — structured event API (``FiringStarted``,
-  ``FiringCompleted``, ``StateSnapshot``, ``FrustumDetected``,
-  ``PhaseTimer``) behind an opt-in :class:`Instrumentation` hub whose
-  default, :data:`NULL_INSTRUMENTATION`, is a falsy no-op — hot loops
-  pay a single pointer check when tracing is off;
+  ``FiringCompleted``, ``StateSnapshot``, ``FrustumDetected``) behind
+  an opt-in :class:`Instrumentation` hub whose default,
+  :data:`NULL_INSTRUMENTATION`, is a falsy no-op — hot loops pay a
+  single pointer check when tracing is off;
 * :mod:`repro.obs.trace` — JSONL and Chrome/Perfetto trace sinks (one
   track per transition, one slice per firing: the paper's behavior
   graph rendered by a trace viewer), streaming + crash-tolerant;
@@ -58,7 +58,6 @@ from .events import (
     ListSink,
     NullInstrumentation,
     NULL_INSTRUMENTATION,
-    PhaseTimer,
     StateSnapshot,
 )
 from .causality import (
@@ -159,7 +158,6 @@ __all__ = [
     "FiringCompleted",
     "StateSnapshot",
     "FrustumDetected",
-    "PhaseTimer",
     "Instrumentation",
     "NullInstrumentation",
     "NULL_INSTRUMENTATION",

@@ -12,28 +12,22 @@ that record, surfaced as data:
   residual vector, policy key)`` at the canonical post-completion /
   pre-firing point of a step — the states frustum detection hashes;
 * :class:`FrustumDetected` — the first repeated instantaneous state,
-  i.e. the boundaries of the cyclic frustum (Definition 3.3.1);
-* :class:`PhaseTimer` — wall-clock duration of one named pipeline
-  phase (parse, translate, detect-frustum, ...).
+  i.e. the boundaries of the cyclic frustum (Definition 3.3.1).
 
-Event times are the simulator's *logical* clock (integer cycles), not
-wall-clock; :class:`PhaseTimer` is the only wall-clock event.
+Event times are the simulator's *logical* clock (integer cycles), never
+wall-clock: compiler stage timing belongs to the pass manager
+(:mod:`repro.compiler.manager`).
 
-``Instrumentation`` fans events out to pluggable sinks and owns a
-:class:`~repro.obs.metrics.MetricsRegistry`.  The library default is
-:data:`NULL_INSTRUMENTATION`, whose ``emit`` discards and which is
-falsy, so hot loops guard with ``if obs:`` / ``is not None`` and pay
-nothing when tracing is off.
+``Instrumentation`` fans events out to pluggable sinks.  The library
+default is :data:`NULL_INSTRUMENTATION`, whose ``emit`` discards and
+which is falsy, so hot loops guard with ``if obs:`` / ``is not None``
+and pay nothing when tracing is off.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from contextlib import contextmanager
-from time import perf_counter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
-
-from .metrics import MetricsRegistry
 
 __all__ = [
     "Event",
@@ -41,7 +35,6 @@ __all__ = [
     "FiringCompleted",
     "StateSnapshot",
     "FrustumDetected",
-    "PhaseTimer",
     "EventSink",
     "ListSink",
     "Instrumentation",
@@ -126,14 +119,6 @@ class FrustumDetected(Event):
     period: int
 
 
-@dataclasses.dataclass(frozen=True)
-class PhaseTimer(Event):
-    """One named pipeline phase took ``seconds`` of wall-clock time."""
-
-    phase: str
-    seconds: float
-
-
 class EventSink:
     """Receiver interface for structured events."""
 
@@ -161,7 +146,7 @@ class ListSink(EventSink):
 
 
 class Instrumentation:
-    """Fan-out hub: events to sinks, phase timings to a registry.
+    """Fan-out hub: simulator events to sinks.
 
     Truthiness doubles as the fast-path gate: a real ``Instrumentation``
     is truthy, the :data:`NULL_INSTRUMENTATION` default is falsy, so
@@ -171,13 +156,8 @@ class Instrumentation:
 
     enabled = True
 
-    def __init__(
-        self,
-        sinks: Iterable[EventSink] = (),
-        metrics: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, sinks: Iterable[EventSink] = ()) -> None:
         self.sinks: List[EventSink] = list(sinks)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     def add_sink(self, sink: EventSink) -> EventSink:
         self.sinks.append(sink)
@@ -187,57 +167,26 @@ class Instrumentation:
         for sink in self.sinks:
             sink.emit(event)
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time a named pipeline phase: emits a :class:`PhaseTimer`
-        event and records a ``phase.<name>`` timer in :attr:`metrics`."""
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = perf_counter() - start
-            self.metrics.record_time(f"phase.{name}", elapsed)
-            self.emit(PhaseTimer(name, elapsed))
-
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
 
 
-class _NullContext:
-    """Reusable no-op context manager (cheaper than nullcontext churn)."""
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()
-
-
 class NullInstrumentation(Instrumentation):
-    """The do-nothing default: falsy, discards events, times nothing.
+    """The do-nothing default: falsy, discards events.
 
-    Exists so library code can unconditionally call ``obs.emit(...)`` /
-    ``obs.phase(...)`` on cold paths while hot loops skip event
-    construction entirely via the falsy check.
+    Exists so library code can unconditionally call ``obs.emit(...)``
+    on cold paths while hot loops skip event construction entirely via
+    the falsy check.
     """
 
     enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(sinks=(), metrics=MetricsRegistry(enabled=False))
 
     def __bool__(self) -> bool:
         return False
 
     def emit(self, event: Event) -> None:
         pass
-
-    def phase(self, name: str) -> _NullContext:  # type: ignore[override]
-        return _NULL_CONTEXT
 
     def add_sink(self, sink: EventSink) -> EventSink:
         raise ValueError(

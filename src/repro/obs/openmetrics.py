@@ -273,7 +273,9 @@ def render_openmetrics(source: Any) -> str:
     for raw_name, stats in sorted((dump.get("histograms") or {}).items()):
         if isinstance(stats, Mapping):
             _summary_block(families, raw_name, stats)
-    for raw_name, stats in sorted((dump.get("timers") or {}).items()):
+    # timers keep the dump's order: a registry dump sorts them by name,
+    # repro.compiler.stage_ordered_exposition puts stage rows first
+    for raw_name, stats in (dump.get("timers") or {}).items():
         if isinstance(stats, Mapping):
             _summary_block(families, raw_name, stats, unit="seconds")
     families.lines.append("# EOF")

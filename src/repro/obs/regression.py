@@ -40,11 +40,11 @@ __all__ = [
 
 _PathLike = Union[str, pathlib.Path]
 
-#: Default relative wall-clock tolerance: a phase may take up to this
+#: Default relative wall-clock tolerance: a timer may take up to this
 #: many times its baseline total before the gate calls it a drift.
 DEFAULT_WALL_TOLERANCE = 5.0
 
-#: Phases whose baseline total is below this many seconds are skipped
+#: Timers whose baseline total is below this many seconds are skipped
 #: by the wall-clock check — micro-timings are pure scheduler noise.
 DEFAULT_WALL_FLOOR = 0.05
 
@@ -175,10 +175,11 @@ def compare_records(
 ) -> GateReport:
     """Compare current bench records against baseline records.
 
-    Stable payloads must match exactly (hard).  Per-phase wall-clock
-    totals may grow up to ``wall_tolerance`` times their baseline
-    before a soft finding is raised; phases whose baseline total is
-    below ``wall_floor`` seconds are ignored.
+    Stable payloads must match exactly (hard).  Per-timer wall-clock
+    totals (compiler stages and library timers alike) may grow up to
+    ``wall_tolerance`` times their baseline before a soft finding is
+    raised; timers whose baseline total is below ``wall_floor``
+    seconds are ignored.
     """
     report = GateReport(wall_tolerance=wall_tolerance)
     for name in sorted(baseline):
@@ -221,14 +222,14 @@ def compare_records(
     return report
 
 
-def _phase_totals(record: Mapping[str, Any]) -> Dict[str, float]:
-    phases = record.get("timing", {}).get("phase_wall_clock", {})
+def _timer_totals(record: Mapping[str, Any]) -> Dict[str, float]:
+    timers = record.get("timing", {}).get("phase_wall_clock", {})
     totals: Dict[str, float] = {}
-    for phase, stats in phases.items():
+    for timer, stats in timers.items():
         if isinstance(stats, Mapping) and isinstance(
             stats.get("total"), (int, float)
         ):
-            totals[str(phase)] = float(stats["total"])
+            totals[str(timer)] = float(stats["total"])
     return totals
 
 
@@ -240,17 +241,17 @@ def _compare_wall_clock(
     tolerance: float,
     floor: float,
 ) -> None:
-    base_totals = _phase_totals(baseline)
-    curr_totals = _phase_totals(current)
-    for phase in sorted(set(base_totals) & set(curr_totals)):
-        base_total = base_totals[phase]
+    base_totals = _timer_totals(baseline)
+    curr_totals = _timer_totals(current)
+    for timer in sorted(set(base_totals) & set(curr_totals)):
+        base_total = base_totals[timer]
         if base_total < floor:
             continue
-        curr_total = curr_totals[phase]
+        curr_total = curr_totals[timer]
         if curr_total > base_total * tolerance:
             report.differences.append(
                 Difference(
-                    name, f"wall:{phase}", base_total, curr_total, "soft",
+                    name, f"wall:{timer}", base_total, curr_total, "soft",
                     f"wall clock grew {curr_total / base_total:.1f}x "
                     f"(tolerance {tolerance:g}x)",
                 )

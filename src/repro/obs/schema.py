@@ -20,7 +20,7 @@ them works against all of them:
     given commit — the regression gate hard-fails on any drift here and
     ``git diff`` over committed results stays meaningful;
 ``timing``
-    volatile wall-clock measurements (per-phase timer dumps) — the gate
+    volatile wall-clock measurements (per-timer dumps) — the gate
     applies a soft relative tolerance here;
 ``environment``
     volatile provenance: python/platform/hostname and an ISO timestamp;

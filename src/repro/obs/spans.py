@@ -2,7 +2,7 @@
 
 PR 2 gave single simulations a timeline (:mod:`repro.obs.trace`); this
 module gives *sweeps* one.  A :class:`Span` is one timed region of work
-— an item compile, a cache lookup, a pipeline phase — carrying the
+— an item compile, a cache lookup, a compiler stage — carrying the
 usual distributed-tracing identity triple (``trace_id`` shared by the
 whole sweep, its own ``span_id``, and the ``parent_id`` that nests it).
 Spans form per-process trees; :mod:`repro.obs.trace_merge` stitches the
@@ -238,10 +238,10 @@ class Tracer:
     def record_completed(
         self, name: str, duration: float, **attributes: Any
     ) -> Span:
-        """Record a span that already happened (e.g. converted from a
-        :class:`~repro.obs.events.PhaseTimer`, whose duration is only
-        known at phase end): it ends *now* and started ``duration``
-        seconds ago, parented under the currently open span."""
+        """Record a span that already happened (e.g. a served request,
+        whose duration is only known once it ends): it ends *now* and
+        started ``duration`` seconds ago, parented under the currently
+        open span."""
         now = self.now()
         span = Span(
             name=name,

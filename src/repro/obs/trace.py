@@ -17,9 +17,6 @@ Conventions
 * :class:`~repro.obs.events.FrustumDetected` becomes a global instant
   event plus explicit ``frustum`` begin/end marks on a dedicated
   track, so the cyclic frustum's span is visible in the timeline.
-* :class:`~repro.obs.events.PhaseTimer` events are wall-clock, not
-  simulation-clock, so the Chrome sink records them only as metadata
-  under ``otherData``.
 
 :class:`JsonlTraceSink` is the lossless form: every event, one JSON
 object per line, in emission order — the machine-readable behavior
@@ -52,7 +49,6 @@ from .events import (
     FiringCompleted,
     FiringStarted,
     FrustumDetected,
-    PhaseTimer,
     StateSnapshot,
 )
 
@@ -117,7 +113,6 @@ class ChromeTraceSink(EventSink):
         self._handle, self._owns = _open(target)
         self._events_written = 0
         self._tids: Dict[str, int] = {}
-        self._other: Dict[str, Any] = {}
         self._closed = False
         self._handle.write('{\n"traceEvents": [\n')
         self._meta(
@@ -203,9 +198,6 @@ class ChromeTraceSink(EventSink):
                     "args": {"total": sum(c for _, c in event.marking)},
                 }
             )
-        elif isinstance(event, PhaseTimer):
-            timings = self._other.setdefault("phase_seconds", {})
-            timings[event.phase] = timings.get(event.phase, 0.0) + event.seconds
         elif isinstance(event, FiringCompleted):
             pass  # the slice was emitted complete at FiringStarted
         # unknown event types are ignored: sinks must stay forward-compatible
@@ -215,10 +207,7 @@ class ChromeTraceSink(EventSink):
             return
         self._closed = True
         atexit.unregister(self.close)
-        other = json.dumps(
-            dict(self._other, time_unit="1 trace us == 1 simulator cycle"),
-            sort_keys=True,
-        )
+        other = json.dumps({"time_unit": "1 trace us == 1 simulator cycle"})
         self._handle.write(
             '\n],\n"displayTimeUnit": "ms",\n"otherData": ' + other + "\n}\n"
         )

@@ -7,8 +7,8 @@ stitches them into a single Chrome trace-event document with **one lane
 per worker**: the parent is ``pid`` 0, each worker shard gets the next
 ``pid`` in deterministic (worker-id-sorted) order, and every lane is
 named through ``process_name`` metadata, so ui.perfetto.dev shows the
-sweep as a swimlane diagram — items stacked inside workers, pipeline
-phases nested inside items.
+sweep as a swimlane diagram — items stacked inside workers, compiler
+stages nested inside items.
 
 Determinism: lanes are ordered by worker id and events are sorted by
 ``(ts, pid, -dur, name, span_id)``, so merging the same shards in any

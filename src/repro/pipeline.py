@@ -77,11 +77,13 @@ def compile_loop(
         the optimal rate; raises :class:`repro.errors.ScheduleError` on
         any violation.
     instrumentation:
-        Optional :class:`repro.obs.Instrumentation`.  When given, each
-        compilation stage is timed (``phase.parse`` ... ``phase.verify``
-        timers plus :class:`~repro.obs.events.PhaseTimer` events) and
-        the behavior-graph simulations stream firing/snapshot/frustum
-        events to the attached sinks.  Defaults to a no-op.
+        Optional :class:`repro.obs.Instrumentation`.  When given, the
+        behavior-graph simulations stream firing/snapshot/frustum
+        events to its sinks.  Defaults to a no-op.  Stage timing needs
+        no argument: while the process-wide registry is enabled
+        (``--profile``), every compile records each stage's self time
+        as a ``stage.<name>`` timer plus ``compile.unattributed`` and
+        ``compile.total`` (:mod:`repro.compiler.manager`).
     engine:
         Simulation engine for frustum detection: ``"event"`` (default)
         jumps between completion instants and does work proportional to

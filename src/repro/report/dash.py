@@ -416,10 +416,8 @@ def _history_html(history: Sequence[Mapping[str, Any]]) -> str:
             cycle_points.append(
                 TrendPoint(sha, float(cycle), f"{sha}: cycle time {cycle}")
             )
-        phases = record.get("timing", {}).get("phase_wall_clock", {})
-        detect = phases.get("phase.detect-frustum") or phases.get(
-            "petrinet.detect_frustum"
-        )
+        timers = record.get("timing", {}).get("phase_wall_clock", {})
+        detect = timers.get("petrinet.detect_frustum")
         if isinstance(detect, Mapping) and isinstance(
             detect.get("total"), (int, float)
         ):
@@ -450,9 +448,11 @@ def _sweep_html(sweep_history: Sequence[Mapping[str, Any]]) -> str:
 
     Reads the volatile ``timing.spans`` summary that ``repro sweep
     --ledger`` appends: busy seconds per worker lane, the critical
-    (wall-clock-bounding) lane, and per-phase p50/p95.  Percentiles
+    (wall-clock-bounding) lane, and per-stage p50/p95.  Percentiles
     computed from an overflowed sample window are marked ``~``.
     """
+    from ..compiler import in_report_order
+
     latest: Optional[Mapping[str, Any]] = None
     for record in sweep_history:
         spans = record.get("timing", {}).get("spans")
@@ -474,12 +474,12 @@ def _sweep_html(sweep_history: Sequence[Mapping[str, Any]]) -> str:
             f'<td>{lane.get("items", 0)}</td>'
             f'<td>{float(lane.get("busy_seconds", 0.0)):.3f}</td></tr>'
         )
-    phase_rows = []
-    for name, stats in sorted((spans.get("phases") or {}).items()):
+    stage_rows = []
+    for name, stats in in_report_order(spans.get("stages") or {}).items():
         approx = "" if stats.get("exact_percentiles", True) else "~"
         p50 = stats.get("p50")
         p95 = stats.get("p95")
-        phase_rows.append(
+        stage_rows.append(
             f'<tr><td class="name">{_esc(name)}</td>'
             f'<td>{stats.get("count", 0)}</td>'
             f"<td>{approx}{p50:.6f}</td><td>{approx}{p95:.6f}</td></tr>"
@@ -498,12 +498,12 @@ def _sweep_html(sweep_history: Sequence[Mapping[str, Any]]) -> str:
         "<th>busy s</th></tr></thead>"
         f'<tbody>{"".join(lane_rows)}</tbody></table>',
     ]
-    if phase_rows:
+    if stage_rows:
         sections.append(
-            "<details><summary>per-phase percentiles</summary>"
-            "<table><thead><tr><th>phase</th><th>n</th><th>p50 s</th>"
+            "<details><summary>per-stage percentiles</summary>"
+            "<table><thead><tr><th>timer</th><th>n</th><th>p50 s</th>"
             "<th>p95 s</th></tr></thead>"
-            f'<tbody>{"".join(phase_rows)}</tbody></table></details>'
+            f'<tbody>{"".join(stage_rows)}</tbody></table></details>'
         )
     return "".join(sections)
 
@@ -512,51 +512,43 @@ def _stages_html(
     history: Sequence[Mapping[str, Any]],
     sweep_history: Sequence[Mapping[str, Any]] = (),
 ) -> str:
-    """Per-stage timing attribution from the latest ledger record that
-    carries phase wall clocks, mapped back to the staged compiler's
-    pass names, plus the artifact-cache resolution totals of the
-    latest sweep record that went through the per-stage store."""
-    from ..compiler.stages import STAGES
+    """Per-stage timing from the latest ledger record that carries
+    stage rows — the stages in stage order, then the unattributed
+    remainder and the compile total they sum to — plus the
+    artifact-cache resolution totals of the latest sweep record that
+    went through the per-stage store."""
+    from ..compiler import split_timers
 
-    stage_of_phase = {
-        stage.phase: stage.name for stage in STAGES.values() if stage.phase
-    }
     latest: Optional[Mapping[str, Any]] = None
     for record in history:
-        phases = record.get("timing", {}).get("phase_wall_clock", {})
-        if any(name.startswith("phase.") for name in phases):
+        timers = record.get("timing", {}).get("phase_wall_clock", {})
+        if any(name.startswith("stage.") for name in timers):
             latest = record
     sections: List[str] = []
     if latest is not None:
         sha = str(latest.get("git_sha", "?"))[:7]
-        phases = latest["timing"]["phase_wall_clock"]
+        breakdown, _ = split_timers(latest["timing"]["phase_wall_clock"])
         rows = []
-        for name in sorted(phases):
-            if not name.startswith("phase."):
-                continue
-            stats = phases[name]
+        for name, stats in breakdown.items():
             if not isinstance(stats, Mapping):
                 continue
-            stage = stage_of_phase.get(name[len("phase."):], "—")
             total = stats.get("total")
             rows.append(
-                f'<tr><td class="name">{_esc(stage)}</td>'
-                f"<td>{_esc(name[len('phase.'):])}</td>"
+                f'<tr><td class="name">{_esc(name)}</td>'
                 f'<td>{stats.get("count", 0)}</td>'
-                f"<td>{float(total):.6f}</td></tr>"
-                if isinstance(total, (int, float))
-                else f'<tr><td class="name">{_esc(stage)}</td>'
-                f"<td>{_esc(name[len('phase.'):])}</td>"
-                f'<td>{stats.get("count", 0)}</td><td>—</td></tr>'
+                + (
+                    f"<td>{float(total):.6f}</td></tr>"
+                    if isinstance(total, (int, float))
+                    else "<td>—</td></tr>"
+                )
             )
         if rows:
             sections.append(
                 f"<h2>Compiler stages at {_esc(sha)}</h2>"
-                '<p class="note">Wall clock per compiler pass from the '
-                "newest ledger run; the stage column names the pass in "
-                "the staged compiler core (<code>repro.compiler</code>), "
-                "the phase column its instrumentation timer.</p>"
-                "<table><thead><tr><th>stage</th><th>phase</th>"
+                '<p class="note">Self time per compiler pass from the '
+                "newest ledger run, in stage order; the unattributed row "
+                "is the compile total minus the stage rows.</p>"
+                "<table><thead><tr><th>timer</th>"
                 "<th>calls</th><th>total s</th></tr></thead>"
                 f'<tbody>{"".join(rows)}</tbody></table>'
             )

@@ -37,7 +37,9 @@ Robustness rules, each pinned by a test:
 
 Observability: a dedicated :class:`~repro.obs.metrics.MetricsRegistry`
 (never the process-wide default — a server must not fight the CLI for
-counters) backs ``GET /metrics``; every request emits one structured
+counters) backs ``GET /metrics``, including the compile timer rows
+(``stage.<name>``, ``compile.unattributed``, ``compile.total``) each
+pool worker hands back with its result; every request emits one structured
 JSON access-log line carrying the service's ``trace_id`` and, when
 span tracing is on (``--span-dir``), a completed request span whose
 trace id also stamps every pool worker's span shard — the same
@@ -61,10 +63,10 @@ from ..batch.sweep import (
     compile_item_task,
     item_result_from_entry,
     pool_worker_init,
+    record_timings,
     SweepResult,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.openmetrics import render_openmetrics
 from ..obs.schema import stable_json
 from ..obs.spans import NULL_TRACER, SpanShardWriter, Tracer, new_id
 from .wire import (
@@ -610,7 +612,9 @@ class CompileService:
         """The OpenMetrics exposition of the service registry."""
         self.registry.gauge("service.queued").set(self._queued)
         self.registry.gauge("service.inflight").set(self._executing)
-        text = render_openmetrics(self.registry)
+        from ..compiler import stage_ordered_exposition
+
+        text = stage_ordered_exposition(self.registry)
         return Response(
             status=200,
             body=text.encode("utf-8"),
@@ -650,6 +654,7 @@ class CompileService:
                     entry.get("cache_stats"), skip_lookup=self.cache is not None
                 )
                 self._merge_stage_stats(entry.get("stage_stats"))
+                record_timings(self.registry, entry.get("timings"))
                 key = entry.get("key") or key
                 if entry["status"] == "error":
                     raise WireError(
@@ -703,6 +708,7 @@ class CompileService:
                     entry.get("cache_stats"), skip_lookup=False
                 )
                 self._merge_stage_stats(entry.get("stage_stats"))
+                record_timings(self.registry, entry.get("timings"))
         finally:
             self._release()
         entries.sort(key=lambda entry: entry["index"])  # manifest order

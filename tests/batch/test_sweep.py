@@ -187,12 +187,12 @@ class TestTracing:
         assert item.parent_id is None
         compile_span = by_name["compile"]
         assert compile_span.parent_id == item.span_id
-        # pipeline phases arrive via the PhaseTimer sink, nested inside
-        # the compile span (which is itself inside the item span)
-        phases = [s for s in tracer.spans if s.name.startswith("phase:")]
-        assert {"phase:parse", "phase:translate"} <= {s.name for s in phases}
-        assert all(s.parent_id == compile_span.span_id for s in phases)
-        assert result.items[0].phases  # seconds reported back too
+        # the pass manager nests one span per stage inside the compile
+        # span (which is itself inside the item span)
+        stages = [s for s in tracer.spans if s.name.startswith("stage.")]
+        assert {"stage.parse", "stage.translate"} <= {s.name for s in stages}
+        assert all(s.parent_id == compile_span.span_id for s in stages)
+        assert result.items[0].timings["stage.parse"] > 0  # rows come back
 
     def test_item_span_duration_tracks_measured_wall(self):
         from repro.obs import Tracer
@@ -286,10 +286,10 @@ class TestTimingSummary:
         from repro.obs import Tracer
 
         result = compile_many([GOOD, GOOD2], tracer=Tracer())
-        phases = result.timing_summary()["phases"]
-        assert "item" in phases
-        assert "parse" in phases
-        stats = phases["parse"]
+        stages = result.timing_summary()["stages"]
+        assert "item" in stages
+        assert "stage.parse" in stages
+        stats = stages["stage.parse"]
         assert stats["count"] == 2
         assert stats["p50"] is not None
         assert stats["exact_percentiles"] is True
@@ -301,7 +301,28 @@ class TestTimingSummary:
         compile_many([GOOD], tracer=Tracer(), registry=registry)
         dump = registry.dump()["timers"]
         assert dump["sweep.item"]["count"] == 1
-        assert dump["sweep.phase.parse"]["count"] == 1
+        assert dump["stage.parse"]["count"] == 1
+        assert dump["compile.total"]["count"] == 1
+
+    def test_pool_workers_hand_back_the_serial_stage_rows(self):
+        def rows(workers):
+            registry = MetricsRegistry()
+            result = compile_many([GOOD, GOOD2], workers=workers,
+                                  registry=registry)
+            assert all(item.timings for item in result.items)
+            return {
+                name: timer["count"]
+                for name, timer in registry.dump()["timers"].items()
+            }
+
+        serial = rows(1)
+        assert serial["stage.parse"] == serial["compile.total"] == 2
+        assert rows(2) == serial
+
+    def test_storeless_items_report_no_stage_cache_outcomes(self):
+        result = compile_many([GOOD])
+        assert result.items[0].stage_outcomes is None
+        assert result.stage_cache_stats()["by_stage"] == {}
 
 
 class TestArguments:

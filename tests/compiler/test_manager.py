@@ -178,3 +178,209 @@ class TestFailureAttribution:
         with pytest.raises(ReproError):
             staged("still not a loop", store)
         assert len(store) == 0
+
+
+class FakeClock:
+    """A ``perf_counter`` stand-in that only moves when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def stage_costs(monkeypatch):
+    """Every stage compute advances a fake clock by a known cost (stage
+    number i costs i seconds), so self times are exact."""
+    import dataclasses
+
+    from repro.compiler import manager as manager_module
+    from repro.compiler.stages import STAGES
+
+    clock = FakeClock()
+    monkeypatch.setattr(manager_module, "perf_counter", clock)
+    costs = {name: float(i) for i, name in enumerate(STAGES, start=1)}
+    for name, stage in list(STAGES.items()):
+
+        def compute(ctx, original=stage.compute, cost=costs[name]):
+            clock.now += cost
+            return original(ctx)
+
+        monkeypatch.setitem(
+            STAGES, name, dataclasses.replace(stage, compute=compute)
+        )
+    return costs
+
+
+def rows_sum_to_total(timings):
+    *rows, total = timings.values()
+    assert list(timings)[-2:] == ["compile.unattributed", "compile.total"]
+    assert sum(rows) == pytest.approx(total)
+
+
+class TestStageTiming:
+    def test_storeless_compile_rows_in_stage_order(self, stage_costs):
+        registry = MetricsRegistry()
+        manager = PassManager(
+            make_request(L2_SOURCE, include_io=False), registry=registry
+        )
+        manager.run()
+        ran = [
+            "parse", "translate", "rate_analysis", "unroll", "build_pn",
+            "simulate", "extract_kernel", "rate", "verify", "summarize",
+        ]
+        expected = {f"stage.{name}": stage_costs[name] for name in ran}
+        expected["compile.unattributed"] = 0.0
+        expected["compile.total"] = sum(stage_costs[name] for name in ran)
+        assert manager.timings == expected
+        assert list(manager.timings) == list(expected)
+        timers = registry.dump()["timers"]
+        assert {name: timers[name]["count"] for name in timers} == {
+            name: 1 for name in expected
+        }
+
+    def test_hydration_inside_a_compute_counts_for_the_hydrated_stage(
+        self, tmp_path, stage_costs
+    ):
+        from repro.obs import Tracer
+
+        store = ArtifactStore(tmp_path)
+        PassManager(
+            make_request(FRAC5, include_io=False, unroll=1), store=store
+        ).run()
+        tracer = Tracer()
+        manager = PassManager(
+            make_request(FRAC5, include_io=False, unroll=2),
+            store=store,
+            tracer=tracer,
+        )
+        manager.run()
+        assert manager.outcomes["translate"] == "hydrated"
+        assert manager.outcomes["parse"] == "hydrated"
+        timings = manager.timings
+        # unroll's compute recomputed translate, which recomputed parse:
+        # each is charged to its own row, never to the stage that pulled
+        # it in; a store hit costs nothing on the fake clock
+        assert timings["stage.unroll"] == stage_costs["unroll"]
+        assert timings["stage.translate"] == stage_costs["translate"]
+        assert timings["stage.parse"] == stage_costs["parse"]
+        assert timings["stage.rate_analysis"] == 0.0
+        rows_sum_to_total(timings)
+        names = {span.span_id: span.name for span in tracer.spans}
+        parents = [
+            names.get(span.parent_id)
+            for span in tracer.spans
+            if span.name == "stage.translate"
+        ]
+        # the store hit resolves at top level; its hydration is a span
+        # nested in the consumer that needed the live graph
+        assert parents == [None, "stage.unroll"]
+
+    def test_real_clock_rows_sum_to_total(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        staged(FRAC5, store, include_io=False, unroll=1)
+        for kwargs in ({}, {"store": store}):
+            manager = PassManager(
+                make_request(FRAC5, include_io=False, unroll=2), **kwargs
+            )
+            manager.run()
+            rows_sum_to_total(manager.timings)
+            assert all(seconds >= 0 for seconds in manager.timings.values())
+
+    def test_failed_compile_still_reports_its_rows(self, monkeypatch):
+        import dataclasses
+
+        from repro.compiler.stages import STAGES
+
+        def explode(ctx):
+            raise ScheduleError("forced verification failure")
+
+        monkeypatch.setitem(
+            STAGES,
+            "verify",
+            dataclasses.replace(STAGES["verify"], compute=explode),
+        )
+        manager = PassManager(make_request(L2_SOURCE, include_io=False))
+        with pytest.raises(ScheduleError):
+            manager.run()
+        assert "stage.verify" in manager.timings
+        assert "stage.summarize" not in manager.timings
+        rows_sum_to_total(manager.timings)
+
+    def test_disabled_registry_records_nothing(self):
+        registry = MetricsRegistry(enabled=False)
+        PassManager(
+            make_request(L1_SOURCE, include_io=False), registry=registry
+        ).run()
+        assert registry.dump()["timers"] == {}
+
+    def test_exposition_lists_stage_rows_first_in_stage_order(self):
+        from repro.compiler import stage_ordered_exposition
+        from repro.obs import parse_exposition
+
+        registry = MetricsRegistry()
+        PassManager(
+            make_request(L1_SOURCE, include_io=False), registry=registry
+        ).run()
+        registry.record_time("core.verify_schedule", 0.001)
+        for source in (registry, registry.dump()):
+            families = [
+                name
+                for name in parse_exposition(stage_ordered_exposition(source))
+                if name.startswith(("stage_", "compile_", "core_"))
+            ]
+            assert families[-1] == "core_verify_schedule_seconds"
+            assert families[:3] == [
+                "stage_parse_seconds",
+                "stage_translate_seconds",
+                "stage_rate_analysis_seconds",
+            ]
+            assert families[-3:-1] == [
+                "compile_unattributed_seconds",
+                "compile_total_seconds",
+            ]
+
+
+class TestLazyKeys:
+    def test_storeless_compiles_derive_no_keys_or_fingerprints(
+        self, monkeypatch
+    ):
+        from repro.compiler import manager as manager_module
+        from repro.pipeline import compile_loop
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("derived without a store")
+
+        monkeypatch.setattr(manager_module, "content_fingerprint", forbidden)
+        monkeypatch.setattr(manager_module, "request_key", forbidden)
+        compile_loop(L1_SOURCE, include_io=False, pipeline_stages=4)
+        compile_staged(make_request(FRAC5, include_io=False, unroll="auto"))
+
+    def test_store_keys_are_unchanged(self, tmp_path):
+        # the request keys a store files artifacts under, pinned from
+        # the eager derivation: lazy derivation must not move them
+        import pathlib
+
+        source = (
+            pathlib.Path(__file__).resolve().parents[2] / "examples/l1.loop"
+        ).read_text()
+        staged(source, ArtifactStore(tmp_path), include_io=False,
+               pipeline_stages=4)
+        keys = {p.parent.name: p.stem for p in tmp_path.rglob("*.json")}
+        assert keys == {
+            "parse": "26a1291a6cebe6ba9b0a7d281a6f39b50d75dc5c2cfbf44684966090f4503ace",
+            "translate": "499841e4bd37872d9bf22f13a3277b47f5a51766147dd2c604e2350083ebd2d3",
+            "rate_analysis": "edca2cedb9435f08e960ac170efe86574abe0d7e0514bd6ce5b3c5550aae373a",
+            "unroll": "7254a673ae75268d9fe04fce002814549de191df94da1ad15526c9354e7fdbfd",
+            "build_pn": "90c46e28fca62f976e1b66758578699ce24e9d2f2eea29fe447ebf2a01532b8c",
+            "simulate": "04361ac6122008a48cffa6691ef51c3ce04e6dad9c8b624fb0984790e64d3d71",
+            "extract_kernel": "83fb271a4a73dbda7807ddd461d2c4585a3831f570eecbc7e9700dec7f27c9a5",
+            "rate": "ada5a1e61e5c7600588664c75f8f0fb8525671eeb5108a773f58660796ad0f46",
+            "verify": "7c9432f294a77d4cb945607e78f53057a0051747cfc6fca8352b8f84a8e07109",
+            "scp_build": "6589e0481e97f47e8365117e2fac6218509abc15723360bdb5adae3c72b87ad9",
+            "scp_simulate": "54a52f6a1855a75af1b7770b708c2ea490f6ab3259e6fa94a492ed2a087fbf74",
+            "scp_extract": "7b177490b484d589a5444403fc2dfab5aaa10c5fff76ed1b364a86035eb40bf6",
+            "scp_verify": "88405963fbdee633e2492742c7b618b6e75d9f15ecc1e385ff1fb1cddde7c81c",
+        }

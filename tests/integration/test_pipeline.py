@@ -1,5 +1,6 @@
 """The end-to-end compile_loop pipeline."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -148,3 +149,13 @@ class TestSummary:
         assert summary.pipeline_stages == 8
         assert summary.scp_utilization == result.scp_utilization
         assert summary.scp_schedule is result.scp_schedule
+
+    def test_summary_is_the_summarize_stage_output(self):
+        result = compile_loop(
+            L1_SOURCE, include_io=False, pipeline_stages=8, unroll=2
+        )
+        assert result.summary() is result.summarized
+        # a hand-assembled copy builds its own, to the same payload
+        rebuilt = dataclasses.replace(result)
+        assert rebuilt.summarized is None
+        assert rebuilt.summary().payload() == result.summary().payload()

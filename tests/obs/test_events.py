@@ -12,7 +12,6 @@ from repro.obs import (
     Instrumentation,
     ListSink,
     NULL_INSTRUMENTATION,
-    PhaseTimer,
     StateSnapshot,
 )
 from repro.petrinet import EarliestFiringSimulator, detect_frustum
@@ -97,9 +96,9 @@ class TestEventPayloads:
         }
 
     def test_events_are_frozen(self):
-        event = PhaseTimer("parse", 0.25)
+        event = FrustumDetected(2, 5, 3)
         with pytest.raises(Exception):
-            event.phase = "other"
+            event.period = 4
 
 
 class TestInstrumentationHub:
@@ -107,26 +106,8 @@ class TestInstrumentationHub:
         first, second = ListSink(), ListSink()
         obs = Instrumentation(sinks=[first])
         obs.add_sink(second)
-        obs.emit(PhaseTimer("x", 1.0))
+        obs.emit(FrustumDetected(2, 5, 3))
         assert len(first) == 1 and len(second) == 1
-
-    def test_phase_emits_timer_event_and_metric(self):
-        sink = ListSink()
-        obs = Instrumentation(sinks=[sink])
-        with obs.phase("parse"):
-            pass
-        (event,) = sink.events
-        assert isinstance(event, PhaseTimer)
-        assert event.phase == "parse"
-        assert event.seconds >= 0.0
-        assert obs.metrics.dump()["timers"]["phase.parse"]["count"] == 1
-
-    def test_phase_times_even_on_exception(self):
-        obs = Instrumentation()
-        with pytest.raises(RuntimeError):
-            with obs.phase("verify"):
-                raise RuntimeError("nope")
-        assert obs.metrics.dump()["timers"]["phase.verify"]["count"] == 1
 
     def test_truthiness_gates_the_hot_path(self):
         assert Instrumentation()
@@ -135,13 +116,8 @@ class TestInstrumentationHub:
 
 class TestNoOpDefault:
     def test_null_instrumentation_discards_events(self):
-        NULL_INSTRUMENTATION.emit(PhaseTimer("x", 1.0))  # must not raise
+        NULL_INSTRUMENTATION.emit(FrustumDetected(2, 5, 3))  # must not raise
         assert NULL_INSTRUMENTATION.sinks == []
-
-    def test_null_phase_is_a_noop_context(self):
-        with NULL_INSTRUMENTATION.phase("anything"):
-            pass
-        assert NULL_INSTRUMENTATION.metrics.dump()["timers"] == {}
 
     def test_null_refuses_sinks(self):
         with pytest.raises(ValueError):

@@ -106,7 +106,7 @@ class TestTrends:
             kind="cli",
             name="schedule:L2",
             payload={"loop": "L2", "cycle_time": cycle},
-            phase_wall_clock={"phase.detect-frustum": {"total": seconds}},
+            phase_wall_clock={"petrinet.detect_frustum": {"total": seconds}},
         )
         record["git_sha"] = sha
         return record
@@ -137,9 +137,53 @@ class TestTrends:
         assert "Cycle time across commits" in html
 
 
+class TestStagesCard:
+    def test_stage_rows_in_stage_order_then_remainder_and_total(
+        self, l2_dash
+    ):
+        timers = {
+            name: {"count": 1, "total": seconds}
+            for name, seconds in (
+                ("compile.total", 0.5),
+                ("compile.unattributed", 0.01),
+                ("core.optimal_rate", 0.2),
+                ("stage.parse", 0.04),
+                ("stage.rate", 0.3),
+                ("stage.simulate", 0.15),
+            )
+        }
+        record = make_run_record(
+            kind="cli",
+            name="schedule:L2",
+            payload={"loop": "L2"},
+            phase_wall_clock=timers,
+        )
+        html = render(l2_dash, history=[record])
+        card = html[html.index("Compiler stages"):]
+        order = [
+            card.index(f">{name}<")
+            for name in (
+                "stage.parse", "stage.simulate", "stage.rate",
+                "compile.unattributed", "compile.total",
+            )
+        ]
+        assert order == sorted(order)
+        # library timers run inside the stages and stay off this card
+        assert ">core.optimal_rate<" not in card
+
+    def test_no_card_without_stage_rows(self, l2_dash):
+        record = make_run_record(
+            kind="cli",
+            name="schedule:L2",
+            payload={"loop": "L2"},
+            phase_wall_clock={"core.optimal_rate": {"total": 0.2}},
+        )
+        assert "Compiler stages" not in render(l2_dash, history=[record])
+
+
 class TestSweepCard:
     @staticmethod
-    def sweep_record(sha, lanes, critical, phases=None):
+    def sweep_record(sha, lanes, critical, stages=None):
         return {
             "kind": "sweep",
             "name": "sweep",
@@ -149,7 +193,7 @@ class TestSweepCard:
                     "n_items": sum(l["items"] for l in lanes.values()),
                     "lanes": lanes,
                     "critical_path": {"worker": critical},
-                    "phases": phases or {},
+                    "stages": stages or {},
                 }
             },
         }
@@ -170,14 +214,14 @@ class TestSweepCard:
                 "worker-2": {"items": 1, "busy_seconds": 0.2},
             },
             "worker-1",
-            phases={
-                "parse": {
+            stages={
+                "stage.parse": {
                     "count": 4,
                     "p50": 0.001,
                     "p95": 0.002,
                     "exact_percentiles": True,
                 },
-                "compile": {
+                "compile.total": {
                     "count": 4,
                     "p50": 0.1,
                     "p95": 0.2,

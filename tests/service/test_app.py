@@ -135,6 +135,29 @@ class TestProbes:
         assert "service_responses_200_total" in text
         assert "service_inflight" in text
 
+    def test_metrics_lists_stage_rows_in_stage_order(self):
+        async def scenario():
+            service = make_service()
+            service.start()
+            await post(service, "/v1/compile", GOOD)
+            return await service.handle("GET", "/metrics")
+
+        families = list(parse_exposition(run(scenario()).body.decode()))
+        timers = [
+            name for name in families
+            if name.startswith(("stage_", "compile_"))
+            and name.endswith("_seconds")
+        ]
+        assert timers == [
+            f"{name}_seconds"
+            for name in (
+                "stage_parse", "stage_translate", "stage_rate_analysis",
+                "stage_unroll", "stage_build_pn", "stage_simulate",
+                "stage_extract_kernel", "stage_rate", "stage_verify",
+                "stage_summarize", "compile_unattributed", "compile_total",
+            )
+        ]
+
     def test_unknown_path_is_404_envelope(self):
         async def scenario():
             service = make_service()
