@@ -9,7 +9,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 doctest:
-	$(PYTHON) -m pytest --doctest-modules src/repro/petrinet src/repro/core -q
+	$(PYTHON) -m pytest --doctest-modules src/repro/petrinet src/repro/core src/repro/digraph.py -q
 
 linkcheck:
 	$(PYTHON) tools/check_links.py

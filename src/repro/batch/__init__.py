@@ -38,41 +38,22 @@ Quick use::
     print(result.merged_payload())       # deterministic, manifest order
 """
 
-from .cache import (
-    CACHE_ENV_VAR,
-    CACHE_SCHEMA_VERSION,
-    CompileCache,
-    cache_key,
-    default_cache_dir,
-    resolve_cache_dir,
-)
-from .manifest import SweepItem, load_manifest, scaling_items
-from .progress import StatusLine, SweepProgress
-from .sweep import (
-    SweepItemResult,
-    SweepResult,
-    compile_item_task,
-    compile_many,
-    compile_one,
-    item_result_from_entry,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_ENV_VAR",
-    "CACHE_SCHEMA_VERSION",
-    "CompileCache",
-    "cache_key",
-    "default_cache_dir",
-    "resolve_cache_dir",
-    "SweepItem",
-    "load_manifest",
-    "scaling_items",
-    "StatusLine",
-    "SweepItemResult",
-    "SweepResult",
-    "SweepProgress",
-    "compile_item_task",
-    "compile_many",
-    "compile_one",
-    "item_result_from_entry",
-]
+#: submodule -> the public names it defines; each submodule is imported
+#: when one of its names is first read (see :mod:`repro._lazy`)
+_EXPORTS = {
+    "cache": (
+        "CACHE_ENV_VAR", "CACHE_SCHEMA_VERSION", "CompileCache", "cache_key",
+        "default_cache_dir", "resolve_cache_dir",
+    ),
+    "manifest": ("SweepItem", "load_manifest", "scaling_items"),
+    "progress": ("StatusLine", "SweepProgress"),
+    "sweep": (
+        "SweepItemResult", "SweepResult", "compile_item_task", "compile_many",
+        "compile_one", "item_result_from_entry",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -35,9 +35,9 @@ import hashlib
 import json
 import os
 import pathlib
-import tempfile
 from typing import Any, Dict, Mapping, Optional, Union
 
+from ..compiler.store import atomic_write_json
 from ..obs.ledger import resolve_env_dir
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.schema import stable_json
@@ -45,7 +45,6 @@ from ..obs.schema import stable_json
 __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_SCHEMA_VERSION",
-    "atomic_write_json",
     "cache_key",
     "default_cache_dir",
     "resolve_cache_dir",
@@ -126,36 +125,6 @@ def cache_key(
 
 def _payload_sha256(payload: Mapping[str, Any]) -> str:
     return hashlib.sha256(stable_json(payload).encode("utf-8")).hexdigest()
-
-
-def atomic_write_json(
-    target: pathlib.Path, entry: Mapping[str, Any], key_hint: str = "entry"
-) -> pathlib.Path:
-    """Atomically write ``entry`` as indented canonical JSON.
-
-    The write discipline every content-addressed store in the repo
-    shares (:class:`CompileCache`, the per-stage
-    :class:`~repro.compiler.store.ArtifactStore`): stage the bytes in a
-    temp file inside the target directory (same filesystem, so the
-    final ``os.replace`` is atomic), so a crashed or killed writer can
-    never leave a half-written entry behind, and two writers racing on
-    the same key both land a complete (identical) file.
-    """
-    target.parent.mkdir(parents=True, exist_ok=True)
-    handle, staging = tempfile.mkstemp(
-        prefix=f".{key_hint[:16]}.", suffix=".tmp", dir=target.parent
-    )
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8") as stream:
-            stream.write(stable_json(entry, indent=2) + "\n")
-        os.replace(staging, target)
-    except BaseException:
-        try:
-            os.unlink(staging)
-        except OSError:
-            pass
-        raise
-    return target
 
 
 class CompileCache:

@@ -15,7 +15,7 @@ suffix of the pipeline recomputes.
 
 Integrity rules are the compile cache's, verbatim:
 
-* **atomic writes** via :func:`repro.batch.cache.atomic_write_json`;
+* **atomic writes** via :func:`atomic_write_json`;
 * **verified reads** — a load recomputes the embedded data hash and
   checks the stored stage/key/schema; any mismatch counts as a miss,
   bumps ``stage.cache.corrupt``, and removes the entry so the slot
@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
+import tempfile
 from typing import Any, Dict, Mapping, Optional, Union
 
-from ..batch.cache import atomic_write_json
 from ..obs.metrics import MetricsRegistry, default_registry
 from ..obs.schema import stable_json
 
@@ -43,6 +44,7 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "STAGE_CACHE_OUTCOMES",
     "ArtifactStore",
+    "atomic_write_json",
     "stage_store_dir",
 ]
 
@@ -65,6 +67,36 @@ def stage_store_dir(cache_dir: _PathLike) -> pathlib.Path:
 
 def _data_sha256(data: Mapping[str, Any]) -> str:
     return hashlib.sha256(stable_json(data).encode("utf-8")).hexdigest()
+
+
+def atomic_write_json(
+    target: pathlib.Path, entry: Mapping[str, Any], key_hint: str = "entry"
+) -> pathlib.Path:
+    """Atomically write ``entry`` as indented canonical JSON.
+
+    The write discipline every content-addressed store in the repo
+    shares (:class:`ArtifactStore`, the whole-payload
+    :class:`~repro.batch.cache.CompileCache`): stage the bytes in a
+    temp file inside the target directory (same filesystem, so the
+    final ``os.replace`` is atomic), so a crashed or killed writer can
+    never leave a half-written entry behind, and two writers racing on
+    the same key both land a complete (identical) file.
+    """
+    target.parent.mkdir(parents=True, exist_ok=True)
+    handle, staging = tempfile.mkstemp(
+        prefix=f".{key_hint[:16]}.", suffix=".tmp", dir=target.parent
+    )
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8") as stream:
+            stream.write(stable_json(entry, indent=2) + "\n")
+        os.replace(staging, target)
+    except BaseException:
+        try:
+            os.unlink(staging)
+        except OSError:
+            pass
+        raise
+    return target
 
 
 class ArtifactStore:

@@ -21,8 +21,7 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
+from ..digraph import topological_order
 from ..errors import DataflowError
 from .actors import Actor, ActorKind
 
@@ -185,28 +184,27 @@ class DataflowGraph:
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
-    def nx_digraph(self, include_feedback: bool = True) -> nx.MultiDiGraph:
-        """The graph as a networkx multidigraph (arc objects on edges)."""
-        graph = nx.MultiDiGraph()
-        graph.add_nodes_from(self._actors)
+    def adjacency(self, include_feedback: bool = True) -> Dict[str, List[str]]:
+        """The graph as a successor map over actor names (one entry per
+        arc, so parallel arcs repeat), the input of :mod:`repro.digraph`."""
+        successors: Dict[str, List[str]] = {name: [] for name in self._actors}
         for arc in self._arcs:
-            if not include_feedback and arc.is_feedback:
-                continue
-            graph.add_edge(arc.source, arc.target, arc=arc)
-        return graph
+            if include_feedback or not arc.is_feedback:
+                successors[arc.source].append(arc.target)
+        return successors
 
     def forward_topological_order(self) -> List[str]:
-        """Topological order of the forward subgraph.  Raises
+        """Topological order of the forward subgraph, smallest actor
+        name first among the ready ones.  Raises
         :class:`DataflowError` if forward arcs contain a cycle (a
         malformed graph — cycles must go through feedback arcs)."""
-        graph = self.nx_digraph(include_feedback=False)
-        try:
-            return list(nx.lexicographical_topological_sort(nx.DiGraph(graph)))
-        except nx.NetworkXUnfeasible:
+        order = topological_order(self.adjacency(include_feedback=False))
+        if order is None:
             raise DataflowError(
                 "forward data arcs contain a cycle; loop-carried values "
                 "must use feedback arcs"
-            ) from None
+            )
+        return order
 
     def has_loop_carried_dependence(self) -> bool:
         """DOALL detection at graph level: any feedback arc present?"""

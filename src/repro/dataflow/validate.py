@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
+from ..digraph import is_weakly_connected
 from ..errors import DataflowError
 from .actors import ActorKind
 from .graph import DataflowGraph
@@ -98,15 +99,11 @@ def validate(graph: DataflowGraph) -> ValidationReport:
 
     # Unreferenced dangling sources of STORE chains are fine; but check
     # the graph is weakly connected so the pipeline is one loop body.
-    if len(graph) > 1:
-        import networkx as nx
-
-        undirected = graph.nx_digraph().to_undirected()
-        if not nx.is_connected(undirected):
-            report.warnings.append(
-                "graph is not weakly connected; it looks like several "
-                "independent loop bodies"
-            )
+    if len(graph) > 1 and not is_weakly_connected(graph.adjacency()):
+        report.warnings.append(
+            "graph is not weakly connected; it looks like several "
+            "independent loop bodies"
+        )
 
     return report
 

@@ -1,26 +1,25 @@
 """Loop frontend: IR, parser, dependence analysis, dataflow lowering,
 reference semantics and the Livermore kernel suite."""
 
-from .ir import ArrayRef, Assign, Binary, Const, Expr, Loop, ScalarRef, Ternary, Unary, walk_expr
-from .parser import parse_expression, parse_loop
-from .dependence import Dependence, DependenceInfo, analyze
-from .translate import TranslationResult, translate
-from .reference import reference_execute
-from .livermore import KERNELS, LivermoreKernel, kernel, paper_kernel_set
-from .unroll import (
-    MAX_UNROLL,
-    base_instruction,
-    copy_name,
-    unroll_graph,
-    validate_unroll,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ArrayRef", "Assign", "Binary", "Const", "Expr", "Loop", "ScalarRef",
-    "Ternary", "Unary", "walk_expr", "parse_expression", "parse_loop",
-    "Dependence", "DependenceInfo", "analyze",
-    "TranslationResult", "translate", "reference_execute",
-    "KERNELS", "LivermoreKernel", "kernel", "paper_kernel_set",
-    "MAX_UNROLL", "base_instruction", "copy_name", "unroll_graph",
-    "validate_unroll",
-]
+#: submodule -> the public names it defines; each submodule is imported
+#: when one of its names is first read (see :mod:`repro._lazy`)
+_EXPORTS = {
+    "ir": (
+        "ArrayRef", "Assign", "Binary", "Const", "Expr", "Loop", "ScalarRef",
+        "Ternary", "Unary", "walk_expr",
+    ),
+    "parser": ("parse_expression", "parse_loop"),
+    "dependence": ("Dependence", "DependenceInfo", "analyze"),
+    "translate": ("TranslationResult", "translate"),
+    "reference": ("reference_execute",),
+    "livermore": ("KERNELS", "LivermoreKernel", "kernel", "paper_kernel_set"),
+    "unroll": (
+        "MAX_UNROLL", "base_instruction", "copy_name", "unroll_graph",
+        "validate_unroll",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -32,6 +32,7 @@ __all__ = [
     "ArrayRef",
     "Unary",
     "Binary",
+    "Ternary",
     "Expr",
     "Assign",
     "Loop",

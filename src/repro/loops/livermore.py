@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..errors import LoopIRError
 from .ir import Loop
 from .parser import parse_loop
@@ -71,9 +69,11 @@ class LivermoreKernel:
 
     def make_inputs(
         self, iterations: int, seed: int = 0
-    ) -> Dict[str, np.ndarray]:
-        """Deterministic pseudo-random input arrays sized for
+    ) -> Dict[str, Any]:
+        """Deterministic pseudo-random numpy input arrays sized for
         ``iterations`` iterations (plus subscript margins)."""
+        import numpy as np
+
         rng = np.random.default_rng(seed + self.number)
         margins = dict(self.array_margin)
         arrays: Dict[str, np.ndarray] = {}

@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 from ..dataflow.builder import GraphBuilder, OutputRef
 from ..dataflow.graph import DataflowGraph
+from ..digraph import has_path
 from ..errors import LoopIRError
 from .dependence import DependenceInfo, analyze
 from .ir import (
@@ -159,14 +160,12 @@ class _Lowering:
         exactly where a real dataflow compiler would spill the carried
         value to a register.
         """
-        import networkx as nx
-
         graph = self.builder._graph  # lowering is a friend of the builder
-        token_free = nx.DiGraph()
-        token_free.add_nodes_from(graph.actor_names)
-        for arc in graph.arcs:
-            if not arc.is_feedback:
-                token_free.add_edge(arc.source, arc.target)
+        token_free = graph.adjacency(include_feedback=False)
+
+        def add_edge(source: str, target: str) -> None:
+            token_free.setdefault(source, []).append(target)
+            token_free.setdefault(target, [])
 
         for producer_name, target_actor, port, distance in self.pending_feedback:
             root = self.root_of[producer_name]
@@ -177,7 +176,7 @@ class _Lowering:
                 # forward hop into the delay node.
                 needs_delay = distance >= 2
             else:
-                needs_delay = token_free.has_node(root) and nx.has_path(
+                needs_delay = root in token_free and has_path(
                     token_free, root, target_actor
                 )
             if distance == 1 and root == target_actor:
@@ -195,7 +194,7 @@ class _Lowering:
                 head = f"dly_{root}"
                 if not graph.has_actor(head):
                     self.builder.identity(head, root)
-                    token_free.add_edge(root, head)
+                    add_edge(root, head)
             else:
                 head = root
 
@@ -211,13 +210,13 @@ class _Lowering:
                 arc_key = f"{previous}.0->{carry}.0"
                 self.feedback_keys.setdefault(producer_name, []).append(arc_key)
                 self.feedback_depths[arc_key] = depth
-                token_free.add_edge(carry, previous)
+                add_edge(carry, previous)
                 previous = carry
             self.builder.feedback(previous, target_actor, port)
             arc_key = f"{previous}.0->{target_actor}.{port}"
             self.feedback_keys.setdefault(producer_name, []).append(arc_key)
             self.feedback_depths[arc_key] = distance
-            token_free.add_edge(target_actor, previous)
+            add_edge(target_actor, previous)
 
     # ------------------------------------------------------------------
     def _lower_statement(self, statement: Assign) -> None:

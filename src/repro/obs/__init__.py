@@ -48,146 +48,49 @@ Quick use::
     obs.close()          # open trace.json in ui.perfetto.dev
 """
 
-from .events import (
-    Event,
-    EventSink,
-    FiringCompleted,
-    FiringStarted,
-    FrustumDetected,
-    Instrumentation,
-    ListSink,
-    NullInstrumentation,
-    NULL_INSTRUMENTATION,
-    StateSnapshot,
-)
-from .causality import (
-    EnablingDag,
-    EnablingEdge,
-    Firing,
-    WaitProfile,
-    build_enabling_dag,
-    wait_profiles,
-)
-from .logging_setup import logging_setup
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_registry,
-    time_block,
-    timed,
-)
-from .openmetrics import (
-    dump_from_record,
-    escape_label_value,
-    format_labels,
-    parse_exposition,
-    parse_labels,
-    render_openmetrics,
-    sanitize_metric_name,
-)
-from .spans import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    SpanShardWriter,
-    TraceContext,
-    Tracer,
-    read_shard,
-    shard_paths,
-)
-from .trace_merge import load_merged_spans, merge_traces, write_trace
-from .ledger import (
-    BASELINE_FILE,
-    RUNS_FILE,
-    append_record,
-    default_ledger_dir,
-    environment_info,
-    git_sha,
-    latest_by_name,
-    load_records,
-    make_run_record,
-    resolve_env_dir,
-)
-from .regression import (
-    Difference,
-    GateReport,
-    compare_records,
-    load_results_records,
-    run_gate,
-)
-from .schema import (
-    SCHEMA_VERSION,
-    normalize_payload,
-    stable_json,
-    validate_record,
-)
-from .trace import ChromeTraceSink, JsonlTraceSink, load_trace_events
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "TraceContext",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "SpanShardWriter",
-    "read_shard",
-    "shard_paths",
-    "merge_traces",
-    "write_trace",
-    "load_merged_spans",
-    "load_trace_events",
-    "Gauge",
-    "render_openmetrics",
-    "dump_from_record",
-    "parse_exposition",
-    "sanitize_metric_name",
-    "escape_label_value",
-    "format_labels",
-    "parse_labels",
-    "EnablingDag",
-    "EnablingEdge",
-    "Firing",
-    "WaitProfile",
-    "build_enabling_dag",
-    "wait_profiles",
-    "Event",
-    "EventSink",
-    "FiringStarted",
-    "FiringCompleted",
-    "StateSnapshot",
-    "FrustumDetected",
-    "Instrumentation",
-    "NullInstrumentation",
-    "NULL_INSTRUMENTATION",
-    "ListSink",
-    "JsonlTraceSink",
-    "ChromeTraceSink",
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
-    "default_registry",
-    "timed",
-    "time_block",
-    "logging_setup",
-    "SCHEMA_VERSION",
-    "normalize_payload",
-    "stable_json",
-    "validate_record",
-    "BASELINE_FILE",
-    "RUNS_FILE",
-    "append_record",
-    "default_ledger_dir",
-    "environment_info",
-    "git_sha",
-    "latest_by_name",
-    "load_records",
-    "make_run_record",
-    "resolve_env_dir",
-    "Difference",
-    "GateReport",
-    "compare_records",
-    "load_results_records",
-    "run_gate",
-]
+#: submodule -> the public names it defines; each submodule is imported
+#: when one of its names is first read (see :mod:`repro._lazy`)
+_EXPORTS = {
+    "events": (
+        "Event", "EventSink", "FiringCompleted", "FiringStarted",
+        "FrustumDetected", "Instrumentation", "ListSink",
+        "NullInstrumentation", "NULL_INSTRUMENTATION", "StateSnapshot",
+    ),
+    "causality": (
+        "EnablingDag", "EnablingEdge", "Firing", "WaitProfile",
+        "build_enabling_dag", "wait_profiles",
+    ),
+    "logging_setup": ("logging_setup",),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "default_registry",
+        "time_block", "timed",
+    ),
+    "openmetrics": (
+        "dump_from_record", "escape_label_value", "format_labels",
+        "parse_exposition", "parse_labels", "render_openmetrics",
+        "sanitize_metric_name",
+    ),
+    "spans": (
+        "NULL_TRACER", "NullTracer", "Span", "SpanShardWriter", "TraceContext",
+        "Tracer", "read_shard", "shard_paths",
+    ),
+    "trace_merge": ("load_merged_spans", "merge_traces", "write_trace"),
+    "ledger": (
+        "BASELINE_FILE", "RUNS_FILE", "append_record", "default_ledger_dir",
+        "environment_info", "git_sha", "latest_by_name", "load_records",
+        "make_run_record", "resolve_env_dir",
+    ),
+    "regression": (
+        "Difference", "GateReport", "compare_records", "load_results_records",
+        "run_gate",
+    ),
+    "schema": (
+        "SCHEMA_VERSION", "normalize_payload", "stable_json", "validate_record",
+    ),
+    "trace": ("ChromeTraceSink", "JsonlTraceSink", "load_trace_events"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

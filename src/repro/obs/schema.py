@@ -72,8 +72,11 @@ FLOAT_DECIMALS = 9
 #: ``"stagecache"`` records come from the per-stage artifact-cache
 #: bench (``benchmarks/bench_stagecache.py``): the payload pins the
 #: stage resolution outcomes of a cold vs warm recompile, the volatile
-#: wall clocks live under ``timing``.
-RECORD_KINDS = ("bench", "cli", "sweep", "serve", "stagecache")
+#: wall clocks live under ``timing``.  ``"coldstart"`` records come from
+#: ``benchmarks/bench_coldstart.py``: the payload pins the packages a
+#: fresh import and a CLI compile load, the start-up times live under
+#: ``timing``.
+RECORD_KINDS = ("bench", "cli", "sweep", "serve", "stagecache", "coldstart")
 
 #: Top-level sections the regression gate treats as volatile: allowed
 #: to drift between runs (within tolerance for ``timing``; freely for

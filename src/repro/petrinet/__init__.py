@@ -9,97 +9,38 @@ behavior graphs with cyclic-frustum detection, and cycle-time analysis
 programming).
 """
 
-from .net import Arc, PetriNet, Place, Transition
-from .marking import Marking, enabled_transitions, fire
-from .reachability import ReachabilityGraph, explore
-from .properties import (
-    bound_of,
-    consistent_firing_vector,
-    deadlocked_markings,
-    is_bounded,
-    is_consistent,
-    is_live,
-    is_persistent,
-    is_safe,
-)
-from .marked_graph import MarkedGraphView, SimpleCycle, require_marked_graph
-from .timed import InstantaneousState, TimedPetriNet
-from .simulator import (
-    ConflictResolutionPolicy,
-    EarliestFiringSimulator,
-    FireAllPolicy,
-    StepRecord,
-)
-from .event_sim import EventDrivenSimulator, EventFrustumDetector
-from .behavior import (
-    BehaviorGraph,
-    BehaviorRecorder,
-    BehaviorStep,
-    CyclicFrustum,
-    FrustumDetector,
-    PlaceInstance,
-    TransitionInstance,
-    detect_frustum,
-)
-from .howard import HowardResult, cycle_time_howard, howard_analysis
-from .analysis import (
-    CriticalCycleReport,
-    CycleMetrics,
-    computation_rate,
-    critical_cycle_report,
-    cycle_metrics,
-    cycle_time_by_enumeration,
-    cycle_time_lawler,
-)
-from .linprog import PeriodicScheduleLP, cycle_time_lp
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Arc",
-    "PetriNet",
-    "Place",
-    "Transition",
-    "Marking",
-    "enabled_transitions",
-    "fire",
-    "ReachabilityGraph",
-    "explore",
-    "bound_of",
-    "consistent_firing_vector",
-    "deadlocked_markings",
-    "is_bounded",
-    "is_consistent",
-    "is_live",
-    "is_persistent",
-    "is_safe",
-    "MarkedGraphView",
-    "SimpleCycle",
-    "require_marked_graph",
-    "InstantaneousState",
-    "TimedPetriNet",
-    "ConflictResolutionPolicy",
-    "EarliestFiringSimulator",
-    "EventDrivenSimulator",
-    "EventFrustumDetector",
-    "FireAllPolicy",
-    "StepRecord",
-    "BehaviorGraph",
-    "BehaviorRecorder",
-    "BehaviorStep",
-    "CyclicFrustum",
-    "FrustumDetector",
-    "PlaceInstance",
-    "TransitionInstance",
-    "detect_frustum",
-    "CriticalCycleReport",
-    "CycleMetrics",
-    "computation_rate",
-    "critical_cycle_report",
-    "cycle_metrics",
-    "cycle_time_by_enumeration",
-    "cycle_time_lawler",
-    "HowardResult",
-    "cycle_time_howard",
-    "howard_analysis",
-    "PeriodicScheduleLP",
-    "cycle_time_lp",
-]
+#: submodule -> the public names it defines; each submodule is imported
+#: when one of its names is first read (see :mod:`repro._lazy`)
+_EXPORTS = {
+    "net": ("Arc", "PetriNet", "Place", "Transition"),
+    "marking": ("Marking", "enabled_transitions", "fire"),
+    "reachability": ("ReachabilityGraph", "explore"),
+    "properties": (
+        "bound_of", "consistent_firing_vector", "deadlocked_markings",
+        "is_bounded", "is_consistent", "is_live", "is_persistent", "is_safe",
+    ),
+    "marked_graph": ("MarkedGraphView", "SimpleCycle", "require_marked_graph"),
+    "timed": ("InstantaneousState", "TimedPetriNet"),
+    "simulator": (
+        "ConflictResolutionPolicy", "EarliestFiringSimulator", "FireAllPolicy",
+        "StepRecord",
+    ),
+    "event_sim": ("EventDrivenSimulator", "EventFrustumDetector"),
+    "behavior": (
+        "BehaviorGraph", "BehaviorRecorder", "BehaviorStep", "CyclicFrustum",
+        "FrustumDetector", "PlaceInstance", "TransitionInstance",
+        "detect_frustum",
+    ),
+    "howard": ("HowardResult", "cycle_time_howard", "howard_analysis"),
+    "analysis": (
+        "CriticalCycleReport", "CycleMetrics", "computation_rate",
+        "critical_cycle_report", "cycle_metrics", "cycle_time_by_enumeration",
+        "cycle_time_lawler",
+    ),
+    "linprog": ("PeriodicScheduleLP", "cycle_time_lp"),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+__getattr__, __dir__ = lazy_exports(__name__, globals(), _EXPORTS)

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Tuple
 
-import networkx as nx
-
+from ..digraph import find_cycle
 from ..errors import AnalysisError
 from .marked_graph import MarkedGraphView, SimpleCycle
 
@@ -113,18 +112,16 @@ def _require_live(view: MarkedGraphView) -> None:
     time exists).  A cycle all of whose places are empty is exactly a
     cycle of the zero-token edge subgraph — an O(P + T) check, no cycle
     enumeration needed."""
-    zero = nx.DiGraph()
-    zero.add_nodes_from(view.net.transition_names)
-    for place in view.net.place_names:
+    net = view.net
+    zero: Dict[str, List[str]] = {t: [] for t in net.transition_names}
+    for place in net.place_names:
         if view.initial[place] == 0:
-            (producer,) = view.net.input_transitions(place)
-            (consumer,) = view.net.output_transitions(place)
-            zero.add_edge(producer, consumer)
-    try:
-        cycle_edges = nx.find_cycle(zero)
-    except nx.NetworkXNoCycle:
+            (producer,) = net.input_transitions(place)
+            (consumer,) = net.output_transitions(place)
+            zero[producer].append(consumer)
+    transitions = find_cycle(zero)
+    if transitions is None:
         return
-    transitions = [edge[0] for edge in cycle_edges]
     raise AnalysisError(
         "cycle through "
         + " -> ".join(transitions)

@@ -24,9 +24,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Mapping, Optional
 
-import numpy as np
-from scipy.optimize import linprog
-
 from ..errors import AnalysisError
 from .marked_graph import MarkedGraphView
 
@@ -64,6 +61,9 @@ def cycle_time_lp(
     ``Φ >= τ(t)`` of Assumption A.6.1; disable only to study the
     relaxed model.
     """
+    import numpy as np
+    from scipy.optimize import linprog
+
     transitions = list(view.net.transition_names)
     if not transitions:
         raise AnalysisError("net has no transitions; cycle time undefined")

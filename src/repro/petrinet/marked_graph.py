@@ -31,10 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
-
+from .. import digraph
 from ..errors import NotAMarkedGraphError
 from .marking import Marking
 from .net import PetriNet
@@ -101,38 +100,38 @@ class SimpleCycle:
 class MarkedGraphView:
     """Cycle-level analysis of a marked graph with an initial marking.
 
-    The view caches the transition-level digraph and the simple-cycle
-    enumeration.  All of Theorems A.5.1–A.5.3 are available as methods.
+    The view caches the transition-level hops (the places from each
+    producer to each consumer) and the simple-cycle enumeration.  All
+    of Theorems A.5.1–A.5.3 are available as methods.
     """
 
     def __init__(self, net: PetriNet, initial: Marking) -> None:
         require_marked_graph(net)
         self.net = net
         self.initial = initial
-        self._digraph: Optional[nx.MultiDiGraph] = None
+        self._hops: Optional[Dict[str, Dict[str, List[str]]]] = None
         self._cycles: Optional[List[SimpleCycle]] = None
 
     # ------------------------------------------------------------------
     # Underlying digraph
     # ------------------------------------------------------------------
-    def digraph(self) -> nx.MultiDiGraph:
-        """Transitions as nodes; one edge per place (producer →
-        consumer), keyed by the place name and labelled with its initial
-        token count."""
-        if self._digraph is None:
-            graph = nx.MultiDiGraph()
-            graph.add_nodes_from(self.net.transition_names)
+    def _transition_hops(self) -> Dict[str, Dict[str, List[str]]]:
+        """The transition digraph as ``{producer: {consumer: places}}``,
+        places sorted: one edge per place, so several places between
+        one pair are parallel edges.  Every transition is a key."""
+        if self._hops is None:
+            hops: Dict[str, Dict[str, List[str]]] = {
+                t: {} for t in self.net.transition_names
+            }
             for place in self.net.place_names:
                 (producer,) = self.net.input_transitions(place)
                 (consumer,) = self.net.output_transitions(place)
-                graph.add_edge(
-                    producer,
-                    consumer,
-                    key=place,
-                    tokens=self.initial[place],
-                )
-            self._digraph = graph
-        return self._digraph
+                hops[producer].setdefault(consumer, []).append(place)
+            for targets in hops.values():
+                for places in targets.values():
+                    places.sort()
+            self._hops = hops
+        return self._hops
 
     # ------------------------------------------------------------------
     # Cycle enumeration
@@ -147,13 +146,11 @@ class MarkedGraphView:
         """
         if self._cycles is not None:
             return self._cycles
-        graph = self.digraph()
         cycles: List[SimpleCycle] = []
-        for node_cycle in nx.simple_cycles(nx.DiGraph(graph)):
+        for node_cycle in digraph.simple_cycles(self._transition_hops()):
             cycles.extend(self._expand_parallel_places(node_cycle))
-        # networkx yields cycles in hash order; sort canonicalized
-        # cycles so reports, ledgers and goldens are reproducible
-        # across processes and PYTHONHASHSEED values.
+        # sort canonicalized cycles so reports, ledgers and goldens do
+        # not depend on the enumeration order
         cycles.sort(key=lambda c: (c.transitions, c.places))
         self._cycles = cycles
         return cycles
@@ -163,15 +160,11 @@ class MarkedGraphView:
         (cartesian product over parallel places on each hop), rotated to
         the canonical start (the lexicographically smallest transition)
         so the same cycle always prints the same way."""
-        graph = self.digraph()
-        hops: List[List[str]] = []
+        hops = self._transition_hops()
         size = len(node_cycle)
-        for i in range(size):
-            u = node_cycle[i]
-            v = node_cycle[(i + 1) % size]
-            hops.append(sorted(graph[u][v].keys()))
         combos: List[List[str]] = [[]]
-        for options in hops:
+        for i in range(size):
+            options = hops[node_cycle[i]][node_cycle[(i + 1) % size]]
             combos = [prefix + [choice] for prefix in combos for choice in options]
         start = min(range(size), key=node_cycle.__getitem__)
         rotated = tuple(node_cycle[start:]) + tuple(node_cycle[:start])
@@ -220,7 +213,4 @@ class MarkedGraphView:
     def is_strongly_connected(self) -> bool:
         """Strong connectivity of the transition digraph; steady-state
         equivalent nets are strongly connected by construction."""
-        graph = nx.DiGraph(self.digraph())
-        if graph.number_of_nodes() == 0:
-            return True
-        return nx.is_strongly_connected(graph)
+        return len(digraph.strongly_connected_components(self._transition_hops())) <= 1

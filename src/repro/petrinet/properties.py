@@ -23,8 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..errors import AnalysisError
 from .marking import Marking, enabled_transitions, fire
 from .net import PetriNet
@@ -186,6 +184,7 @@ def consistent_firing_vector(net: PetriNet) -> Optional[Dict[str, int]]:
     """
     from fractions import Fraction
 
+    import numpy as np
     from scipy.optimize import linprog
 
     transitions = net.transition_names

@@ -142,5 +142,16 @@ class TestDerived:
         assert not diamond.has_actor("extra")
         assert len(clone.arcs) == len(diamond.arcs)
 
-    def test_nx_digraph_edge_count(self, diamond):
-        assert diamond.nx_digraph().number_of_edges() == 6
+    def test_adjacency_edge_count(self, diamond):
+        adjacency = diamond.adjacency()
+        assert set(adjacency) == set(diamond.actor_names)
+        assert sum(len(targets) for targets in adjacency.values()) == 6
+
+    def test_adjacency_can_leave_feedback_out(self):
+        graph = DataflowGraph()
+        graph.add_actor(binop("a", "+", immediate=1, immediate_port=1))
+        graph.add_arc(
+            DataArc("a", "a", 0, kind=ArcKind.FEEDBACK, initial_tokens=1)
+        )
+        assert graph.adjacency() == {"a": ["a"]}
+        assert graph.adjacency(include_feedback=False) == {"a": []}

@@ -176,7 +176,7 @@ class TestUnrollProperties:
         unrolled = dependence_cycle_time(
             unroll_graph(graph, factor), include_io=False
         )
-        if nx.is_directed_acyclic_graph(graph.nx_digraph()):
+        if nx.is_directed_acyclic_graph(nx.DiGraph(graph.adjacency())):
             assert unrolled == base
         else:
             # unit durations: every data cycle's ratio is >= max τ, so
