@@ -1,12 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke doctest linkcheck docstring-lint bench bench-check baseline dash clean
+.PHONY: verify test bench-selftest smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke doctest linkcheck docstring-lint bench bench-check baseline dash clean
 
-verify: test doctest linkcheck docstring-lint smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke
+verify: test bench-selftest doctest linkcheck docstring-lint smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# the outside-in benchmark's own tests: recorded answers against the
+# goldens and the paper anchors, the seeded draws, the trace lint
+bench-selftest:
+	$(PYTHON) -m pytest tpnbench/tests -q
 
 doctest:
 	$(PYTHON) -m pytest --doctest-modules src/repro/petrinet src/repro/core src/repro/digraph.py -q

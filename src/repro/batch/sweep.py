@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import os
 import pathlib
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -583,6 +582,11 @@ def compile_many(
         finally:
             _WORKER_TRACER = previous
     else:
+        # imported here, not at module top: the pool pulls in
+        # multiprocessing, socket and pickle, which a serial sweep or a
+        # CLI compile (through compile_one) never needs
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         initargs: Tuple[Any, ...] = (None, None)
         if tracing:
             initargs = (

@@ -147,7 +147,6 @@ def make_request(
     pipeline_stages: Optional[int] = None,
     include_io: bool = True,
     verify: bool = True,
-    verify_iterations: int = 12,
     engine: str = "event",
     unroll: Union[int, str] = 1,
 ) -> CompileRequest:
@@ -164,7 +163,6 @@ def make_request(
         pipeline_stages=pipeline_stages,
         include_io=bool(include_io),
         verify=bool(verify),
-        verify_iterations=int(verify_iterations),
         engine=engine,
         unroll=requested,
     )

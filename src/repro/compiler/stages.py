@@ -14,11 +14,11 @@ stage               does                                            paper
 ``simulate``        earliest-firing behavior, cyclic frustum        §4.1
 ``extract_kernel``  time-optimal kernel / pipelined schedule        §4.3
 ``rate``            optimal rate, bounds, achieved-rate check       §4.2
-``verify``          dependence/rate replay of the schedule          §4.3
+``verify``          dependence/rate proof, every iteration          §4.3
 ``scp_build``       SDSP-SCP-PN resource model (l-stage pipeline)   §5.2
 ``scp_simulate``    FIFO-policy behavior + frustum + utilization    §5.2
 ``scp_extract``     resource-constrained schedule                   §5.2
-``scp_verify``      resource replay of the SCP schedule             §5.2
+``scp_verify``      dependence/resource proof of the SCP schedule   §5.2
 ``summarize``       assemble the deterministic payload              —
 ==================  ==============================================  =======
 
@@ -100,7 +100,6 @@ class CompileRequest:
     pipeline_stages: Optional[int] = None
     include_io: bool = True
     verify: bool = True
-    verify_iterations: int = 12
     engine: str = "event"
     unroll: Union[int, str] = 1
 
@@ -381,15 +380,9 @@ def _verify(ctx: StageContext) -> StageOutput:
     verify_schedule(
         ctx.live("build_pn", "pn"),
         ctx.live("extract_kernel", "schedule"),
-        iterations=ctx.request.verify_iterations,
         expected_rate=fraction_from(ctx.data("rate")["rate"]),
     ).require()
-    return StageOutput(
-        data={
-            "verified": True,
-            "iterations": ctx.request.verify_iterations,
-        }
-    )
+    return StageOutput(data={"verified": True})
 
 
 def _scp_build(ctx: StageContext) -> StageOutput:
@@ -454,16 +447,10 @@ def _scp_verify(ctx: StageContext) -> StageOutput:
     verify_schedule(
         ctx.live("build_pn", "pn"),
         ctx.live("scp_extract", "schedule"),
-        iterations=ctx.request.verify_iterations,
         capacity=1,
         latency_of=lambda t: stages,
     ).require()
-    return StageOutput(
-        data={
-            "verified": True,
-            "iterations": ctx.request.verify_iterations,
-        }
-    )
+    return StageOutput(data={"verified": True})
 
 
 def _summarize(ctx: StageContext) -> StageOutput:
@@ -580,10 +567,12 @@ STAGES: Dict[str, Stage] = {
             compute=_rate,
         ),
         Stage(
+            # v2: the verdict holds for every iteration (periodic
+            # certificate), not the first 12
             name="verify",
-            version=1,
+            version=2,
             deps=("build_pn", "extract_kernel", "rate"),
-            params=lambda r: {"verify_iterations": r.verify_iterations},
+            params=lambda r: {},
             compute=_verify,
         ),
         Stage(
@@ -609,13 +598,10 @@ STAGES: Dict[str, Stage] = {
             hydrate=_hydrate_scp_extract,
         ),
         Stage(
-            name="scp_verify",
-            version=1,
+            name="scp_verify",  # v2: as for verify
+            version=2,
             deps=("build_pn", "scp_extract"),
-            params=lambda r: {
-                "verify_iterations": r.verify_iterations,
-                "pipeline_stages": r.pipeline_stages,
-            },
+            params=lambda r: {"pipeline_stages": r.pipeline_stages},
             compute=_scp_verify,
         ),
         Stage(

@@ -33,9 +33,9 @@ Fraction(1, 1)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Set, Tuple
 
 from ..errors import ScheduleError
 from ..obs.metrics import timed
@@ -62,6 +62,14 @@ class PipelinedSchedule:
     base_iteration)``: in the m-th kernel repetition the instance
     executes iteration ``base_iteration + m·k`` at absolute time
     ``start_time + m·II + relative_time``.
+
+    Construction indexes the schedule once per instruction (prologue
+    issue times by iteration, then the kernel offsets in issue order),
+    so :meth:`start_of` is O(1).  An instruction whose prologue
+    iterations are not ``0 .. P-1``, or whose kernel entries are not
+    exactly ``k`` with bases ``P .. P+k-1`` in issue order, is rejected
+    with :class:`~repro.errors.ScheduleError`.  The lists are not
+    re-indexed afterwards: build a new schedule rather than mutate one.
     """
 
     prologue: List[ScheduledOp]
@@ -76,6 +84,7 @@ class PipelinedSchedule:
             raise ScheduleError("initiation interval must be positive")
         if self.iterations_per_kernel <= 0:
             raise ScheduleError("kernel must cover at least one iteration")
+        self._rows = _index(self)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -102,57 +111,41 @@ class PipelinedSchedule:
     # Lookup / expansion
     # ------------------------------------------------------------------
     def start_of(self, instruction: str, iteration: int) -> int:
-        """Issue time of one instruction instance."""
-        if instruction not in self.instructions:
+        """Issue time of one instruction instance, in O(1)."""
+        row = self._rows.get(instruction)
+        if row is None:
             raise ScheduleError(f"unknown instruction {instruction!r}")
-        for op in self.prologue:
-            if op.instruction == instruction and op.iteration == iteration:
-                return op.time
-        prologue_count = sum(
-            1 for op in self.prologue if op.instruction == instruction
-        )
-        index = iteration - prologue_count
-        if index < 0:
+        if iteration < 0:
             raise ScheduleError(
                 f"iteration {iteration} of {instruction!r} precedes the "
-                "schedule (negative index after prologue)"
+                "schedule"
             )
-        kernel_instances = sorted(
-            (rel, base)
-            for rel, name, base in self.kernel
-            if name == instruction
-        )
-        if not kernel_instances:
-            raise ScheduleError(
-                f"instruction {instruction!r} does not appear in the kernel"
-            )
-        k = self.iterations_per_kernel
-        m, j = divmod(index, k)
-        rel, _base = kernel_instances[j]
-        return self.start_time + m * self.initiation_interval + rel
+        return self._issue(row, iteration)
+
+    def prologue_length(self, instruction: str) -> int:
+        """``P``: how many iterations of ``instruction`` the prologue
+        issues.  From iteration ``P`` on its issue times are
+        k-periodic: ``start_of(i + k) == start_of(i) + II``."""
+        row = self._rows.get(instruction)
+        if row is None:
+            raise ScheduleError(f"unknown instruction {instruction!r}")
+        return len(row.prologue)
+
+    def _issue(self, row: _IssueRow, iteration: int) -> int:
+        prologue = row.prologue
+        if iteration < len(prologue):
+            return prologue[iteration]
+        m, j = divmod(iteration - len(prologue), self.iterations_per_kernel)
+        return self.start_time + m * self.initiation_interval + row.offsets[j]
 
     def expand(self, iterations: int) -> List[ScheduledOp]:
         """All instances covering iterations ``0 .. iterations-1`` of
         every instruction, sorted by time then instruction name."""
-        ops: List[ScheduledOp] = [
-            op for op in self.prologue if op.iteration < iterations
+        ops = [
+            ScheduledOp(self._issue(row, iteration), name, iteration)
+            for name, row in self._rows.items()
+            for iteration in range(iterations)
         ]
-        per_instruction_prologue: Dict[str, int] = {
-            name: 0 for name in self.instructions
-        }
-        for op in self.prologue:
-            per_instruction_prologue[op.instruction] += 1
-        kernel_sorted = sorted(self.kernel)
-        k = self.iterations_per_kernel
-        for rel, name, base in kernel_sorted:
-            m = 0
-            while True:
-                iteration = base + m * k
-                if iteration >= iterations:
-                    break
-                time = self.start_time + m * self.initiation_interval + rel
-                ops.append(ScheduledOp(time, name, iteration))
-                m += 1
         ops.sort(key=lambda op: (op.time, op.instruction, op.iteration))
         return ops
 
@@ -163,6 +156,57 @@ class PipelinedSchedule:
         for rel, name, base in sorted(self.kernel):
             rows.setdefault(rel, []).append((name, base))
         return sorted(rows.items())
+
+
+class _IssueRow(NamedTuple):
+    """One instruction's row of the schedule index: the issue time of
+    each prologue iteration ``0 .. P-1``, then the ``k`` kernel offsets
+    (relative to ``start_time``) of iterations ``P .. P+k-1`` in issue
+    order."""
+
+    prologue: Tuple[int, ...]
+    offsets: Tuple[int, ...]
+
+
+def _index(schedule: PipelinedSchedule) -> Dict[str, _IssueRow]:
+    """Build the per-instruction index, rejecting any instruction whose
+    prologue iterations are not exactly ``0 .. P-1`` or whose kernel
+    does not hold exactly ``k`` entries with bases ``P .. P+k-1`` in
+    issue order — the shape the k-periodic lookup relies on."""
+    names = schedule.instructions
+    prologue: Dict[str, List[Tuple[int, int]]] = {name: [] for name in names}
+    kernel: Dict[str, List[Tuple[int, int]]] = {name: [] for name in names}
+    try:
+        for op in schedule.prologue:
+            prologue[op.instruction].append((op.iteration, op.time))
+        for rel, name, base in schedule.kernel:
+            kernel[name].append((rel, base))
+    except KeyError as exc:
+        raise ScheduleError(
+            f"schedule issues unknown instruction {exc.args[0]!r}"
+        ) from None
+
+    k = schedule.iterations_per_kernel
+    rows: Dict[str, _IssueRow] = {}
+    for name in names:
+        issued = sorted(prologue[name])
+        count = len(issued)
+        iterations, times = zip(*issued) if issued else ((), ())
+        if iterations != tuple(range(count)):
+            raise ScheduleError(
+                f"prologue iterations of {name!r} are {list(iterations)}, "
+                f"not 0..{count - 1}"
+            )
+        entries = sorted(kernel[name])
+        offsets, bases = zip(*entries) if entries else ((), ())
+        if bases != tuple(range(count, count + k)):
+            raise ScheduleError(
+                f"kernel bases of {name!r} in issue order are "
+                f"{list(bases)}, not the k = {k} iterations "
+                f"{count}..{count + k - 1} that follow its prologue"
+            )
+        rows[name] = _IssueRow(times, offsets)
+    return rows
 
 
 @timed("core.derive_schedule")

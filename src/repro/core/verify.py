@@ -1,27 +1,43 @@
 """Schedule validation: dependences, resources, rate and semantics.
 
-A derived schedule is only trustworthy if it can be *replayed* against
-everything it promised:
+A derived schedule is only trustworthy if it is checked against
+everything it promised.  The schedule is a prologue plus a kernel that
+repeats forever (§3.3, Fig. 1(g)), and the structural checks prove
+their property for *every* iteration, not a replayed prefix:
 
 * **Dependence feasibility** — for every place of the SDSP-PN (data and
   acknowledgement alike) with producer ``u``, consumer ``v`` and ``r``
   initial tokens, FIFO matching forces ``start_v(i) >= start_u(i − r) +
   latency(u)`` for all iterations ``i >= r``.  This single rule covers
   forward dependences, loop-carried dependences, and the buffer
-  (acknowledgement) constraints.
+  (acknowledgement) constraints.  Past its prologue of ``P`` iterations
+  an instruction issues at ``start(i + k) = start(i) + II``, so once
+  ``i >= max(P_v, P_u + r)`` the slack ``start_v(i) − start_u(i − r)``
+  is k-periodic: checking ``r <= i < max(P_v, P_u + r) + k`` proves the
+  place for all iterations (the periodic-schedule argument).
 * **Resource feasibility** — at most ``capacity`` instructions issue
-  per cycle (1 for the single clean pipeline).
+  per cycle (1 for the single clean pipeline).  Kernel issues are
+  counted per slot modulo II (a modulo reservation table), which bounds
+  every cycle after the prologue; each prologue cycle is counted
+  exactly, kernel issues that overlap it included.
 * **Rate achievement** — the kernel's ``k / II`` equals the optimal
   rate from critical-cycle analysis (for the ideal model), making the
   schedule time-optimal, or the documented resource bound (SCP).
-* **Semantic preservation** — the schedule is executed with real
-  values, producer results flowing to consumers at the scheduled
-  iteration distances, and the output arrays compared against a direct
-  interpretation of the loop.
+
+Both structural checks are linear in the prologue plus the kernel.
+:func:`verify_schedule` runs them with the rate check; the compiler's
+``verify`` and ``scp_verify`` stages call it on every compile.
+
+Semantic preservation is checked apart, by the tests:
+:func:`execute_schedule` runs a finite prefix of the schedule with real
+values, producer results flowing to consumers at the scheduled
+iteration distances, and the output arrays are compared against a
+direct interpretation of the loop.  No compiler stage runs it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -66,31 +82,40 @@ class VerificationReport:
 def verify_dependences(
     pn: SdspPetriNet,
     schedule: PipelinedSchedule,
-    iterations: int = 12,
+    *,
     latency_of: Optional[Callable[[str], int]] = None,
 ) -> VerificationReport:
-    """Check every place's FIFO precedence constraint over the first
-    ``iterations`` iterations.
+    """Check every place's FIFO precedence constraint for every
+    iteration.
 
-    ``latency_of`` maps a producer to the delay before its token is
-    available; it defaults to the net's execution times.  For a
-    schedule meant for an ``l``-stage pipeline pass ``lambda t: l``.
+    A place ``u -> v`` with ``r`` tokens is checked for ``r <= i <
+    max(P_v, P_u + r) + k``; past that window its slack repeats with
+    period k, so the window is the whole proof.  ``latency_of`` maps a
+    producer to the delay before its token is available; it defaults
+    to the net's execution times.  For a schedule meant for an
+    ``l``-stage pipeline pass ``lambda t: l``.
     """
     if latency_of is None:
-        latency_of = lambda t: pn.durations[t]  # noqa: E731
+        latency_of = pn.durations.__getitem__
     report = VerificationReport()
     scheduled = set(schedule.instructions)
+    k = schedule.iterations_per_kernel
+    start_of = schedule.start_of
     for place in pn.net.place_names:
         (producer,) = pn.net.input_transitions(place)
         (consumer,) = pn.net.output_transitions(place)
         if producer not in scheduled or consumer not in scheduled:
             continue
         tokens = pn.initial[place]
-        for i in range(tokens, iterations):
-            consumer_start = schedule.start_of(consumer, i)
-            producer_start = schedule.start_of(producer, i - tokens)
-            ready = producer_start + latency_of(producer)
-            report.checked_constraints += 1
+        latency = latency_of(producer)
+        horizon = k + max(
+            schedule.prologue_length(consumer),
+            schedule.prologue_length(producer) + tokens,
+        )
+        report.checked_constraints += horizon - tokens
+        for i in range(tokens, horizon):
+            consumer_start = start_of(consumer, i)
+            ready = start_of(producer, i - tokens) + latency
             if consumer_start < ready:
                 report.violations.append(
                     f"place {place!r}: {consumer!r} iteration {i} starts at "
@@ -102,25 +127,51 @@ def verify_dependences(
 
 def verify_resource(
     schedule: PipelinedSchedule,
-    iterations: int = 12,
+    *,
     capacity: int = 1,
     instructions: Optional[Sequence[str]] = None,
 ) -> VerificationReport:
     """At most ``capacity`` issues per cycle among ``instructions``
-    (default: all scheduled instructions)."""
+    (default: all scheduled instructions), in every cycle.
+
+    Kernel entry ``(rel, x, base)`` issues at ``start_time + rel +
+    m·II`` for every ``m >= 0``, so a cycle's kernel issues are at most
+    its slot's count in the modulo reservation table (``rel mod II``),
+    and equal to it once every entry of the slot has started.  Checking
+    each slot, plus each prologue cycle with the kernel issues that
+    overlap it, covers every cycle of the unbounded schedule.
+    """
     report = VerificationReport()
     keep = set(instructions) if instructions is not None else None
-    per_cycle: Dict[int, int] = {}
-    for op in schedule.expand(iterations):
-        if keep is not None and op.instruction not in keep:
-            continue
-        per_cycle[op.time] = per_cycle.get(op.time, 0) + 1
-    for time, count in sorted(per_cycle.items()):
+    ii = schedule.initiation_interval
+    start = schedule.start_time
+    slots: Dict[int, List[int]] = {}
+    for rel, name, _base in schedule.kernel:
+        if keep is None or name in keep:
+            slots.setdefault(rel % ii, []).append(rel)
+    for rels in slots.values():
+        rels.sort()
+    prologue: Dict[int, int] = {}
+    for op in schedule.prologue:
+        if keep is None or op.instruction in keep:
+            prologue[op.time] = prologue.get(op.time, 0) + 1
+    for time, count in sorted(prologue.items()):
+        # plus the kernel entries of this cycle's slot started by now
+        offset = time - start
+        count += bisect_right(slots.get(offset % ii, ()), offset)
         report.checked_constraints += 1
         if count > capacity:
             report.violations.append(
                 f"cycle {time}: {count} instructions issued, capacity "
                 f"{capacity}"
+            )
+    for slot, rels in sorted(slots.items()):
+        report.checked_constraints += 1
+        if len(rels) > capacity:
+            report.violations.append(
+                f"kernel slot {slot}: {len(rels)} instructions issued at "
+                f"cycle {start + rels[-1]} and every {ii} cycles after, "
+                f"capacity {capacity}"
             )
     return report
 
@@ -232,7 +283,7 @@ def execute_schedule(
 def verify_schedule(
     pn: SdspPetriNet,
     schedule: PipelinedSchedule,
-    iterations: int = 12,
+    *,
     expected_rate: Optional[Fraction] = None,
     capacity: Optional[int] = None,
     latency_of: Optional[Callable[[str], int]] = None,
@@ -240,9 +291,9 @@ def verify_schedule(
     """Run the structural checks together and merge the reports."""
     combined = VerificationReport()
     for report in [
-        verify_dependences(pn, schedule, iterations, latency_of),
+        verify_dependences(pn, schedule, latency_of=latency_of),
         (
-            verify_resource(schedule, iterations, capacity)
+            verify_resource(schedule, capacity=capacity)
             if capacity is not None
             else VerificationReport()
         ),

@@ -52,7 +52,6 @@ def compile_loop(
     pipeline_stages: Optional[int] = None,
     include_io: bool = True,
     verify: bool = True,
-    verify_iterations: int = 12,
     instrumentation: Optional[Instrumentation] = None,
     engine: str = "event",
     unroll: Union[int, str] = 1,
@@ -73,9 +72,14 @@ def compile_loop(
         A-code mode (loads/stores are instructions) when True; the
         paper-figure abstract mode when False.
     verify:
-        Replay the derived schedules against dependences, resources and
-        the optimal rate; raises :class:`repro.errors.ScheduleError` on
-        any violation.
+        Prove the derived schedule against every dependence and
+        buffer constraint and its kernel rate against the optimal
+        rate, and the SCP schedule against every dependence at the
+        pipeline latency and the single issue slot, for every
+        iteration of the unbounded prologue + kernel schedule
+        (:mod:`repro.core.verify`; no finite replay, and no
+        value-level execution).  Raises
+        :class:`repro.errors.ScheduleError` on any violation.
     instrumentation:
         Optional :class:`repro.obs.Instrumentation`.  When given, the
         behavior-graph simulations stream firing/snapshot/frustum
@@ -108,7 +112,6 @@ def compile_loop(
         pipeline_stages=pipeline_stages,
         include_io=include_io,
         verify=verify,
-        verify_iterations=verify_iterations,
         engine=engine,
         unroll=unroll,
     )

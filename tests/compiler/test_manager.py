@@ -360,7 +360,9 @@ class TestLazyKeys:
 
     def test_store_keys_are_unchanged(self, tmp_path):
         # the request keys a store files artifacts under, pinned from
-        # the eager derivation: lazy derivation must not move them
+        # the eager derivation: lazy derivation must not move them.
+        # verify and scp_verify moved once, on purpose, at version 2:
+        # a stored 12-iteration verdict is not an all-iteration proof
         import pathlib
 
         source = (
@@ -378,9 +380,9 @@ class TestLazyKeys:
             "simulate": "04361ac6122008a48cffa6691ef51c3ce04e6dad9c8b624fb0984790e64d3d71",
             "extract_kernel": "83fb271a4a73dbda7807ddd461d2c4585a3831f570eecbc7e9700dec7f27c9a5",
             "rate": "ada5a1e61e5c7600588664c75f8f0fb8525671eeb5108a773f58660796ad0f46",
-            "verify": "7c9432f294a77d4cb945607e78f53057a0051747cfc6fca8352b8f84a8e07109",
+            "verify": "9cd16381c21c3b02e5321203decc5f0be8a30278f8433a7bc97cc829c11448dd",
             "scp_build": "6589e0481e97f47e8365117e2fac6218509abc15723360bdb5adae3c72b87ad9",
             "scp_simulate": "54a52f6a1855a75af1b7770b708c2ea490f6ab3259e6fa94a492ed2a087fbf74",
             "scp_extract": "7b177490b484d589a5444403fc2dfab5aaa10c5fff76ed1b364a86035eb40bf6",
-            "scp_verify": "88405963fbdee633e2492742c7b618b6e75d9f15ecc1e385ff1fb1cddde7c81c",
+            "scp_verify": "d3b67fd3d8f36c99b9a6bf94eb5cec7acc4cc6530f0fb9d8d0a0975fab9c84db",
         }

@@ -66,7 +66,7 @@ class TestDetectionAndSchedule:
         frustum, behavior = detect_frustum(pn.timed, pn.initial)
         schedule = derive_schedule(frustum, behavior)
         report = verify_schedule(
-            pn, schedule, iterations=10, expected_rate=optimal_rate(pn)
+            pn, schedule, expected_rate=optimal_rate(pn)
         )
         assert report.ok, report.violations[:3]
 
@@ -76,10 +76,10 @@ class TestDetectionAndSchedule:
         pn = multicycle_pn()
         frustum, behavior = detect_frustum(pn.timed, pn.initial)
         schedule = derive_schedule(frustum, behavior)
-        ok = verify_dependences(pn, schedule, 10)
+        ok = verify_dependences(pn, schedule)
         assert ok.ok
         stretched = verify_dependences(
-            pn, schedule, 10, latency_of=lambda t: pn.durations[t] + 1
+            pn, schedule, latency_of=lambda t: pn.durations[t] + 1
         )
         assert not stretched.ok
 

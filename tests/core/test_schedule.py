@@ -143,6 +143,66 @@ class TestRestrictionAndErrors:
                 instructions=("a",),
             )
 
+    def test_kernel_short_of_k_entries_rejected(self):
+        # k = 2 but one kernel entry: a lookup of iteration 1 would have
+        # no kernel slot, and an expansion would skip odd iterations
+        with pytest.raises(ScheduleError, match="kernel bases of 'a'"):
+            PipelinedSchedule(
+                prologue=[],
+                kernel=[(0, "a", 0)],
+                start_time=0,
+                initiation_interval=2,
+                iterations_per_kernel=2,
+                instructions=("a",),
+            )
+
+    @pytest.mark.parametrize(
+        "prologue, kernel, k, match",
+        [
+            # prologue iterations must be exactly 0 .. P-1
+            ([ScheduledOp(0, "a", 1)], [(0, "a", 2)], 1, "prologue iter"),
+            (
+                [ScheduledOp(0, "a", 0), ScheduledOp(1, "a", 0)],
+                [(0, "a", 2)],
+                1,
+                "prologue iter",
+            ),
+            # k kernel bases must continue the prologue, in issue order
+            ([ScheduledOp(0, "a", 0)], [(0, "a", 2)], 1, "kernel bases"),
+            ([], [(1, "a", 0), (0, "a", 1)], 2, "kernel bases"),
+            ([], [(0, "a", 0), (1, "a", 1), (2, "a", 2)], 2, "kernel bases"),
+            # every issued instruction must be declared
+            ([ScheduledOp(0, "z", 0)], [(0, "a", 0)], 1, "unknown"),
+            ([], [(0, "a", 0), (0, "z", 0)], 1, "unknown"),
+        ],
+    )
+    def test_malformed_schedule_rejected(self, prologue, kernel, k, match):
+        with pytest.raises(ScheduleError, match=match):
+            PipelinedSchedule(
+                prologue=prologue,
+                kernel=kernel,
+                start_time=2,
+                initiation_interval=3,
+                iterations_per_kernel=k,
+                instructions=("a",),
+            )
+
+    def test_malformed_payload_rejected(self, l1_schedule):
+        from repro.compiler.result import (
+            schedule_from_payload,
+            schedule_payload,
+        )
+
+        data = schedule_payload(l1_schedule)
+        assert schedule_from_payload(data) == l1_schedule
+        data["kernel"] = data["kernel"][1:]
+        with pytest.raises(ScheduleError, match="kernel bases"):
+            schedule_from_payload(data)
+
+    def test_negative_iteration_rejected(self, l1_schedule):
+        with pytest.raises(ScheduleError, match="precedes"):
+            l1_schedule.start_of("A", -1)
+
     def test_negative_index_before_prologue(self):
         schedule = PipelinedSchedule(
             prologue=[ScheduledOp(0, "a", 0), ScheduledOp(1, "a", 1)],

@@ -56,14 +56,15 @@ def shift_instruction(schedule, name, delta):
 class TestDependenceChecks:
     def test_derived_schedule_passes(self, l2_setup):
         pn, schedule = l2_setup
-        report = verify_dependences(pn, schedule, iterations=10)
+        report = verify_dependences(pn, schedule)
         assert report.ok
-        assert report.checked_constraints > 50
+        # every place checked: at least one kernel's worth each
+        assert report.checked_constraints >= len(pn.net.place_names)
 
     def test_violation_detected_when_instruction_moved_early(self, l2_setup):
         pn, schedule = l2_setup
         corrupted = shift_instruction(schedule, "D", -1)
-        report = verify_dependences(pn, corrupted, iterations=10)
+        report = verify_dependences(pn, corrupted)
         assert not report.ok
         assert any("D" in v for v in report.violations)
 
@@ -71,7 +72,7 @@ class TestDependenceChecks:
         pn, schedule = l2_setup
         corrupted = shift_instruction(schedule, "D", -1)
         with pytest.raises(ScheduleError, match="verification failed"):
-            verify_dependences(pn, corrupted, iterations=10).require()
+            verify_dependences(pn, corrupted).require()
 
     def test_ack_constraints_checked_too(self, l2_setup):
         """Delaying a consumer violates the *producer's* ack constraint
@@ -80,26 +81,24 @@ class TestDependenceChecks:
         # move A later: its consumers' acks still ok, but A's own data
         # production for B/C now arrives after B/C read it.
         corrupted = shift_instruction(schedule, "A", 2)
-        report = verify_dependences(pn, corrupted, iterations=10)
+        report = verify_dependences(pn, corrupted)
         assert not report.ok
 
 
 class TestResourceChecks:
     def test_capacity_one_flags_parallel_schedule(self, l2_setup):
         _, schedule = l2_setup
-        report = verify_resource(schedule, iterations=8, capacity=1)
+        report = verify_resource(schedule, capacity=1)
         assert not report.ok  # ideal schedule is parallel
 
     def test_wide_capacity_passes(self, l2_setup):
         _, schedule = l2_setup
-        report = verify_resource(schedule, iterations=8, capacity=5)
+        report = verify_resource(schedule, capacity=5)
         assert report.ok
 
     def test_instruction_filter(self, l2_setup):
         _, schedule = l2_setup
-        report = verify_resource(
-            schedule, iterations=8, capacity=1, instructions=["E"]
-        )
+        report = verify_resource(schedule, capacity=1, instructions=["E"])
         assert report.ok
 
 
@@ -115,9 +114,7 @@ class TestRateCheck:
 
     def test_combined_verify(self, l2_setup):
         pn, schedule = l2_setup
-        report = verify_schedule(
-            pn, schedule, iterations=10, expected_rate=Fraction(1, 3)
-        )
+        report = verify_schedule(pn, schedule, expected_rate=Fraction(1, 3))
         assert report.ok
 
 

@@ -121,7 +121,7 @@ class TestRandomLoops:
         pn = build_sdsp_pn(translation.graph)
         frustum, behavior = detect_frustum(pn.timed, pn.initial)
         schedule = derive_schedule(frustum, behavior)
-        assert verify_dependences(pn, schedule, iterations=8).ok
+        assert verify_dependences(pn, schedule).ok
 
         iterations = 5
         arrays = {

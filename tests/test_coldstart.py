@@ -4,8 +4,9 @@ and no repro module it does not run.
 A child ``python -S`` (no site-packages, so none of the three libraries
 can be imported at all) compiles through the library and through the
 CLI; its bytes must equal an in-process compile of the same inputs,
-and ``import repro.pipeline`` must leave the process-pool, asyncio,
-batch, oracle and report modules unloaded.
+``import repro.pipeline`` must leave the process-pool, asyncio, batch,
+oracle and report modules unloaded, and the CLI compile, which goes
+through the batch layer, must still leave the process pool unloaded.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ NOT_ON_THE_COMPILE_PATH = (
     "repro.loops.livermore",
 )
 
+#: modules a CLI compile must not load (it runs no pool)
+NOT_ON_THE_CLI_COMPILE_PATH = ("multiprocessing", "concurrent.futures")
+
 CHILD = """
 import io, json, sys
 sys.path.insert(0, {src!r})
@@ -48,8 +52,10 @@ compiled = repro.pipeline.compile_loop(
 )
 out = io.StringIO()
 status = main(["compile", {l1!r}, "--abstract", "--no-cache"], out=out)
+cli_loaded = [name for name in {cli_forbidden!r} if name in sys.modules]
 print(json.dumps({{
     "loaded": loaded,
+    "cli_loaded": cli_loaded,
     "compile": stable_json(compiled.summary().payload(), indent=2),
     "cli": out.getvalue(),
     "status": status,
@@ -61,6 +67,7 @@ def run_child() -> dict:
     code = CHILD.format(
         src=str(ROOT / "src"),
         forbidden=NOT_ON_THE_COMPILE_PATH,
+        cli_forbidden=NOT_ON_THE_CLI_COMPILE_PATH,
         l1=str(L1),
         l2=str(L2),
     )
@@ -80,6 +87,9 @@ def test_compile_runs_without_site_packages_and_matches_in_process():
     child = run_child()
     assert child["loaded"] == [], (
         f"import repro.pipeline loaded {child['loaded']}"
+    )
+    assert child["cli_loaded"] == [], (
+        f"a CLI compile loaded {child['cli_loaded']}"
     )
 
     compiled = compile_loop(
