@@ -1,18 +1,19 @@
 """Batch compilation: content-addressed caching + process-pool sweeps.
 
 ``compile_loop`` is a pure function of ``(source, scalars,
-pipeline_stages, include_io, engine)``, and the benchmark/sweep
+pipeline_stages, include_io, engine, unroll)``, and the benchmark/sweep
 workloads (the scaling family, the Livermore kernels, the ablations)
 recompile the same nets over and over.  This package exploits both
 facts:
 
-* :mod:`repro.batch.cache` — a content-addressed on-disk compile cache
-  keyed by a canonical hash of the compilation inputs (plus a cache
-  schema version), storing the serialized deterministic payload of
-  :class:`repro.pipeline.CompiledLoopSummary` and rehydrating it
-  without re-simulating.  Entries are written atomically (temp file +
-  rename) and verified against an embedded payload hash on load, so a
-  torn or corrupted entry is recompiled, never trusted.
+* :mod:`repro.batch.cache` — the whole-payload view of the artifact
+  store (:class:`repro.compiler.store.ArtifactStore`): the
+  deterministic payload of :class:`repro.pipeline.CompiledLoopSummary`
+  stored whole, keyed by a canonical hash of the compilation inputs
+  (plus the store schema version), and rehydrated without
+  re-simulating.  Entries are written atomically (temp file + rename)
+  and verified against an embedded data hash on load, so a torn or
+  corrupted entry is recompiled, never trusted.
 * :mod:`repro.batch.manifest` — sweep manifests: JSON files listing
   loops/configs, plus the generated scaling-family manifest.
 * :mod:`repro.batch.sweep` — :func:`compile_many` and the ``repro
@@ -34,7 +35,7 @@ Quick use::
         workers=4,
         cache=CompileCache("/tmp/repro-cache"),
     )
-    print(result.cache_stats())          # {'hits': 0, 'misses': 6, ...}
+    print(result.cache_stats())          # {'hit': 0, 'miss': 6, ...}
     print(result.merged_payload())       # deterministic, manifest order
 """
 
@@ -44,7 +45,7 @@ from .._lazy import lazy_exports
 #: when one of its names is first read (see :mod:`repro._lazy`)
 _EXPORTS = {
     "cache": (
-        "CACHE_ENV_VAR", "CACHE_SCHEMA_VERSION", "CompileCache", "cache_key",
+        "CACHE_ENV_VAR", "PAYLOAD_STAGE", "CompileCache", "cache_key",
         "default_cache_dir", "resolve_cache_dir",
     ),
     "manifest": ("SweepItem", "load_manifest", "scaling_items"),

@@ -29,6 +29,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..errors import ReproError
 from ..loops.unroll import validate_unroll
+from .cache import cache_key
 
 __all__ = ["SweepItem", "load_manifest", "scaling_items", "chain_source"]
 
@@ -40,7 +41,7 @@ class SweepItem:
     """One manifest entry: a loop plus its compilation config.
 
     Plain data only — instances cross process boundaries (pickled into
-    sweep workers) and feed :func:`repro.batch.cache.cache_key`.
+    sweep workers); :meth:`cache_key` is the payload's store address.
     """
 
     name: str
@@ -52,6 +53,17 @@ class SweepItem:
     #: Unroll factor: a positive int up to
     #: :data:`repro.loops.unroll.MAX_UNROLL`, or ``"auto"``.
     unroll: Union[int, str] = 1
+
+    def cache_key(self) -> str:
+        """This item's :func:`~repro.batch.cache.cache_key`."""
+        return cache_key(
+            self.source,
+            scalars=self.scalars,
+            pipeline_stages=self.pipeline_stages,
+            include_io=self.include_io,
+            engine=self.engine,
+            unroll=self.unroll,
+        )
 
     @classmethod
     def from_mapping(

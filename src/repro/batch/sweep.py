@@ -43,6 +43,11 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+# Called through the package, so a wrapper installed on
+# repro.compiler.compile_staged (tpnbench's compiler.staged layer) sees
+# every compile.
+from .. import compiler
+from ..compiler.store import STAGE_CACHE_OUTCOMES, record_counts
 from ..errors import ReproError
 from ..obs.metrics import Histogram, MetricsRegistry, default_registry
 from ..obs.spans import (
@@ -52,7 +57,7 @@ from ..obs.spans import (
     Tracer,
     shard_paths,
 )
-from .cache import CompileCache, cache_key
+from .cache import PAYLOAD_STAGE, CompileCache
 from .manifest import SweepItem
 from .progress import SweepProgress
 
@@ -67,8 +72,8 @@ __all__ = [
     "record_timings",
 ]
 
-_CACHE_OUTCOMES = ("hit", "miss", "corrupt", "store")
-_STAGE_OUTCOMES = ("hit", "miss", "corrupt", "store", "hydrate")
+#: The payload view's outcomes (a payload entry is never hydrated).
+_PAYLOAD_OUTCOMES = ("hit", "miss", "corrupt", "store")
 
 
 @dataclass
@@ -76,17 +81,18 @@ class SweepItemResult:
     """One manifest item's outcome, at its manifest position.
 
     ``wall``, ``worker`` and ``timings`` are volatile measurement
-    artifacts (like ``cache_stats``): the item's compile wall-clock,
+    artifacts (like ``store_counts``): the item's compile wall-clock,
     the lane that ran it, and the pass manager's timer rows for its
     compile (``stage.<name>`` self times, ``compile.unattributed``,
     ``compile.total``; empty for a whole-payload cache hit).
-    ``stage_stats`` / ``stage_outcomes`` describe
-    the per-stage artifact cache (counter totals, and each compiler
-    stage's resolution: ``computed`` / ``hit`` / ``hydrated``) when the
-    item went through the staged compiler.  None of them reach
-    :meth:`record` — except the failing *stage* name inside ``error``,
-    which is deterministic (a failure recurs at the same stage whether
-    its upstream artifacts were cached or not).
+    ``store_counts`` is the artifact store's ``{stage: {outcome: n}}``
+    tally for the item (``None`` with the cache off), read through
+    :attr:`cache_stats` and :attr:`stage_stats`; ``stage_outcomes`` is
+    each compiler stage's resolution (``computed`` / ``hit`` /
+    ``hydrated``) when a cached item went through the staged compiler.
+    None of them reach :meth:`record` — except the failing *stage* name
+    inside ``error``, which is deterministic (a failure recurs at the
+    same stage whether its upstream artifacts were cached or not).
     """
 
     index: int
@@ -96,18 +102,37 @@ class SweepItemResult:
     error: Optional[Dict[str, str]] = None
     cache_hit: bool = False
     cache_lookup: bool = False
-    cache_stats: Optional[Dict[str, int]] = None
     key: Optional[str] = None
     wall: float = 0.0
     worker: Optional[str] = None
     timings: Optional[Dict[str, float]] = None
-    stage_stats: Optional[Dict[str, int]] = None
+    store_counts: Optional[Dict[str, Dict[str, int]]] = None
     stage_outcomes: Optional[Dict[str, str]] = None
 
     @property
     def ok(self) -> bool:
         """Whether the item compiled (or rehydrated) successfully."""
         return self.status == "ok"
+
+    @property
+    def cache_stats(self) -> Dict[str, int]:
+        """The whole-payload view of :attr:`store_counts`: the
+        :data:`~repro.batch.cache.PAYLOAD_STAGE` entry's outcomes."""
+        payload = (self.store_counts or {}).get(PAYLOAD_STAGE, {})
+        return {
+            outcome: payload.get(outcome, 0) for outcome in _PAYLOAD_OUTCOMES
+        }
+
+    @property
+    def stage_stats(self) -> Dict[str, int]:
+        """The stage-artifact view of :attr:`store_counts`: every other
+        stage's outcomes, summed."""
+        totals = dict.fromkeys(STAGE_CACHE_OUTCOMES, 0)
+        for stage, outcomes in (self.store_counts or {}).items():
+            if stage != PAYLOAD_STAGE:
+                for outcome, count in outcomes.items():
+                    totals[outcome] += count
+        return totals
 
     def summary(self):
         """Rehydrate the full :class:`repro.pipeline.CompiledLoopSummary`
@@ -175,12 +200,12 @@ class SweepResult:
     def cache_stats(self) -> Dict[str, int]:
         """Aggregated cache counters over every item (volatile —
         reported through ``timing.metrics`` in ledger records)."""
-        totals = {outcome: 0 for outcome in _CACHE_OUTCOMES}
+        totals = dict.fromkeys(_PAYLOAD_OUTCOMES, 0)
         totals["items"] = self.n_items
         totals["errors"] = self.n_errors
         for item in self.items:
-            for outcome, count in (item.cache_stats or {}).items():
-                totals[outcome] = totals.get(outcome, 0) + count
+            for outcome, count in item.cache_stats.items():
+                totals[outcome] += count
         return totals
 
     def stage_cache_stats(self) -> Dict[str, Any]:
@@ -189,13 +214,11 @@ class SweepResult:
         ``by_stage`` breakdown of how each compiler stage resolved
         (``computed`` / ``hit`` / ``hydrated``) across the items that
         went through the staged compiler."""
-        totals: Dict[str, Any] = {
-            outcome: 0 for outcome in _STAGE_OUTCOMES
-        }
+        totals: Dict[str, Any] = dict.fromkeys(STAGE_CACHE_OUTCOMES, 0)
         by_stage: Dict[str, Dict[str, int]] = {}
         for item in self.items:
-            for outcome, count in (item.stage_stats or {}).items():
-                totals[outcome] = totals.get(outcome, 0) + count
+            for outcome, count in item.stage_stats.items():
+                totals[outcome] += count
             for stage, outcome in (item.stage_outcomes or {}).items():
                 per = by_stage.setdefault(stage, {})
                 per[outcome] = per.get(outcome, 0) + 1
@@ -244,8 +267,6 @@ class SweepResult:
           retained-sample window overflowed — printers mark those with
           ``~``).
         """
-        from ..compiler import in_report_order
-
         lanes: Dict[str, Dict[str, Any]] = {}
         hists: Dict[str, Histogram] = {}
 
@@ -292,7 +313,7 @@ class SweepResult:
                     "p95": hist.percentile(95),
                     "exact_percentiles": hist.exact_percentiles,
                 }
-                for name, hist in in_report_order(hists).items()
+                for name, hist in compiler.in_report_order(hists).items()
             },
         }
 
@@ -349,14 +370,7 @@ def compile_item_task(
         if cache_dir is not None
         else None
     )
-    key = cache_key(
-        item.source,
-        scalars=item.scalars,
-        pipeline_stages=item.pipeline_stages,
-        include_io=item.include_io,
-        engine=item.engine,
-        unroll=item.unroll,
-    )
+    key = item.cache_key()
     payload: Optional[Dict[str, Any]] = None
     error: Optional[Dict[str, str]] = None
     cache_hit = False
@@ -368,29 +382,13 @@ def compile_item_task(
                 payload = cache.load(key)
             cache_hit = payload is not None
         if payload is None:
-            # Imported lazily: repro.compiler pulls in this package for
-            # the shared atomic-write helper, so a module-level import
-            # here would be circular.
-            from ..compiler import (
-                ArtifactStore,
-                compile_staged,
-                failing_stage,
-                make_request,
-                stage_store_dir,
-            )
-
-            # With the cache on, a whole-payload miss runs against the
-            # per-stage artifact store beside the L1 entries, so any
-            # upstream work a previous (even differently parameterised)
-            # compile already did is reused.
-            store = (
-                ArtifactStore(stage_store_dir(cache_dir), registry=registry)
-                if cache is not None
-                else None
-            )
+            # A whole-payload miss compiles against the same store, so
+            # any upstream work a previous (even differently
+            # parameterised) compile already did is reused.
+            store = cache.artifacts if cache is not None else None
             try:
                 with tracer.span("compile"):
-                    request = make_request(
+                    request = compiler.make_request(
                         item.source,
                         scalars=item.scalars,
                         pipeline_stages=item.pipeline_stages,
@@ -398,12 +396,12 @@ def compile_item_task(
                         engine=item.engine,
                         unroll=item.unroll,
                     )
-                    payload, outcomes = compile_staged(
+                    payload, outcomes = compiler.compile_staged(
                         request, store, registry=registry, tracer=tracer
                     )
             except Exception as exc:  # noqa: BLE001 — isolate *any* failure
                 error = {"type": type(exc).__name__, "message": str(exc)}
-                stage = failing_stage(exc)
+                stage = compiler.failing_stage(exc)
                 if stage is not None:
                     error["stage"] = stage
             else:
@@ -412,14 +410,6 @@ def compile_item_task(
                     with tracer.span("cache.store"):
                         cache.store(key, payload)
     wall = perf_counter() - started
-    stats = {
-        outcome: registry.counter(f"batch.cache.{outcome}").value
-        for outcome in _CACHE_OUTCOMES
-    }
-    stage_stats = {
-        outcome: registry.counter(f"stage.cache.{outcome}").value
-        for outcome in _STAGE_OUTCOMES
-    }
     return {
         "index": index,
         "name": item.name,
@@ -428,7 +418,6 @@ def compile_item_task(
         "error": error,
         "cache_hit": cache_hit,
         "cache_lookup": cache is not None,
-        "cache_stats": stats,
         "key": key,
         "wall": wall,
         "worker": tracer.worker if tracer.enabled else f"worker-{os.getpid()}",
@@ -436,7 +425,7 @@ def compile_item_task(
             name: timer["total"]
             for name, timer in registry.dump()["timers"].items()
         },
-        "stage_stats": stage_stats,
+        "store_counts": cache.artifacts.counts if cache is not None else None,
         "stage_outcomes": stage_outcomes,
     }
 
@@ -459,13 +448,12 @@ def item_result_from_entry(entry: Mapping[str, Any]) -> SweepItemResult:
         error=entry["error"],
         cache_hit=entry["cache_hit"],
         cache_lookup=entry["cache_lookup"],
-        cache_stats=entry["cache_stats"],
         key=entry["key"],
         wall=entry["wall"],
         worker=entry["worker"],
         timings=entry["timings"],
-        stage_stats=entry.get("stage_stats"),
-        stage_outcomes=entry.get("stage_outcomes"),
+        store_counts=entry["store_counts"],
+        stage_outcomes=entry["stage_outcomes"],
     )
 
 
@@ -525,8 +513,9 @@ def compile_many(
         An existing :class:`CompileCache`, or a directory to open one
         in.  Omit both to compile everything from scratch.
     registry:
-        Metrics registry for the aggregated ``batch.cache.*`` /
-        ``batch.sweep.*`` counters, the ``sweep.item`` timer and every
+        Metrics registry for every item's ``stage.cache.*`` store
+        counters, the ``batch.sweep.*`` counters, the ``sweep.item``
+        timer and every
         item's compile timer rows (``stage.<name>``,
         ``compile.unattributed``, ``compile.total``; default: the
         process-wide one).
@@ -628,21 +617,10 @@ def compile_many(
     )
 
     target_registry = registry if registry is not None else default_registry()
-    stats = result.cache_stats()
-    for outcome in _CACHE_OUTCOMES:
-        if stats.get(outcome):
-            target_registry.counter(f"batch.cache.{outcome}").inc(
-                stats[outcome]
-            )
-    stage_stats = result.stage_cache_stats()
-    for outcome in _STAGE_OUTCOMES:
-        if stage_stats.get(outcome):
-            target_registry.counter(f"stage.cache.{outcome}").inc(
-                stage_stats[outcome]
-            )
     target_registry.counter("batch.sweep.items").inc(result.n_items)
     target_registry.counter("batch.sweep.errors").inc(result.n_errors)
     for item in results:
+        record_counts(target_registry, item.store_counts or {})
         target_registry.record_time("sweep.item", item.wall)
         record_timings(target_registry, item.timings)
     return result

@@ -23,7 +23,7 @@ Commands
               dashboard (kernel timeline, slack/utilization, token
               occupancy, ledger trends);
 ``sweep``     batch-compile a JSON manifest of loops through the
-              content-addressed compile cache, optionally over a
+              content-addressed artifact store, optionally over a
               process pool (``--workers N``), and merge the
               deterministic payloads in manifest order; ``--trace``
               writes a merged cross-process span trace (one lane per
@@ -31,7 +31,7 @@ Commands
               and a live progress line renders on TTYs
               (``--no-progress`` to suppress);
 ``compile``   compile one loop and print its deterministic JSON
-              payload (optionally through the compile cache) — the
+              payload (optionally through the artifact store) — the
               exact bytes ``repro serve`` answers ``POST /v1/compile``
               with for the same input;
 ``serve``     run the async HTTP compilation service (bounded

@@ -1,7 +1,7 @@
-"""The ``sweep`` command: batch-compile a manifest through the compile
-cache (and, per item, the per-stage artifact store), merge the
-deterministic payloads in manifest order, and report both cache
-layers' hit/miss behaviour."""
+"""The ``sweep`` command: batch-compile a manifest through the artifact
+store, merge the deterministic payloads in manifest order, and report
+the store's two views: whole-payload hits and misses, and the stage
+artifacts a payload miss was rebuilt from."""
 
 from __future__ import annotations
 
@@ -102,9 +102,9 @@ def add_sweep_parser(subparsers) -> None:
 
 
 def _stage_cache_note(stage_stats) -> str:
-    """One line summarising the per-stage artifact store over the whole
-    sweep: counter totals plus how many stage resolutions each outcome
-    covered (``computed`` / ``hit`` / ``hydrated``)."""
+    """One line summarising the stage artifacts over the whole sweep:
+    counter totals plus how many stage resolutions each outcome covered
+    (``computed`` / ``hit`` / ``hydrated``)."""
     by_stage = stage_stats.get("by_stage") or {}
     resolutions = {}
     for outcomes in by_stage.values():
@@ -332,8 +332,8 @@ def _append_sweep_record(
     stage_stats=None,
 ):
     """Append the ``sweep`` run record: the deterministic merged
-    payload, with cache counters (both layers), wall clock and the span
-    timing summary quarantined in the volatile ``timing`` section."""
+    payload, with the store counters (both views), wall clock and the
+    span timing summary quarantined in the volatile ``timing`` section."""
     import pathlib
 
     from ..obs import default_registry

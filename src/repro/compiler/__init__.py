@@ -9,8 +9,9 @@ schema-versioned passes:
   :class:`~repro.compiler.manager.PassManager`, request-key
   derivation, hydration, stage-tagged failure attribution and the
   per-stage timing every compile reports (``stage.<name>`` timers);
-* :mod:`repro.compiler.store` — the per-stage content-addressed
-  :class:`~repro.compiler.store.ArtifactStore`;
+* :mod:`repro.compiler.store` — the content-addressed
+  :class:`~repro.compiler.store.ArtifactStore`, the one on-disk cache
+  (stage artifacts and whole payloads);
 * :mod:`repro.compiler.artifacts` — canonical dumps and the
   fingerprint scheme that lets different requests converge on shared
   artifacts;
@@ -60,7 +61,6 @@ from .store import (
     STAGE_CACHE_OUTCOMES,
     STORE_SCHEMA_VERSION,
     ArtifactStore,
-    stage_store_dir,
 )
 
 __all__ = [
@@ -96,5 +96,4 @@ __all__ = [
     "schedule_payload",
     "split_timers",
     "stage_ordered_exposition",
-    "stage_store_dir",
 ]

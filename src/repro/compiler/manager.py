@@ -338,9 +338,7 @@ class PassManager:
             raise mark_stage(exc, stage.name)
         artifact.outcome = "hydrated"
         if self.store is not None:
-            registry = self.store.registry
-            registry.counter("stage.cache.hydrate").inc()
-            registry.counter(f"stage.cache.hydrate.{stage.name}").inc()
+            self.store.count("hydrate", stage.name)
 
     # ------------------------------------------------------------------
     # StageContext backend

@@ -332,9 +332,9 @@ class CompiledLoop:
         """The time-optimal computation rate the ideal model achieves.
 
         :func:`repro.pipeline.compile_loop` computes this exactly once
-        (Howard plus the enumeration/Lawler cross-checks) and stores it
-        in :attr:`rate`; the property only falls back to recomputing
-        for hand-assembled instances that never set the field.
+        (Howard, in the ``rate`` stage) and stores it in :attr:`rate`;
+        the property only falls back to recomputing for hand-assembled
+        instances that never set the field.
         """
         if self.rate is None:
             self.rate = optimal_rate(self.pn)

@@ -1,31 +1,40 @@
-"""The per-stage artifact store.
+"""The artifact store: the one on-disk cache of everything a compile
+produces.
 
-This extends the content-addressed design of
-:class:`repro.batch.cache.CompileCache` (one verified, atomically
-written JSON file per key) from whole compilations down to individual
-compiler stages: ``<root>/<stage>/<key>.json``, where ``key`` is the
-stage's *request key* — sha256 over (store schema, stage name, stage
-code version, upstream artifact fingerprints, stage parameters).
+One verified, atomically written JSON file per (stage, key):
+``<root>/<stage>/<key>.json``.  Two kinds of key address the entries:
 
-Because downstream keys are derived from upstream **fingerprints**
-(see :mod:`repro.compiler.artifacts`), changing a downstream parameter
-— the unroll factor, the simulation engine, the SCP depth — leaves
-every upstream entry addressable and only the genuinely affected
-suffix of the pipeline recomputes.
+* a stage artifact lives under its *request key* — sha256 over (store
+  schema, stage name, stage code version, upstream artifact
+  fingerprints, stage parameters; :func:`repro.compiler.request_key`).
+  Because downstream keys are derived from upstream **fingerprints**
+  (see :mod:`repro.compiler.artifacts`), changing a downstream
+  parameter — the unroll factor, the simulation engine, the SCP depth
+  — leaves every upstream entry addressable and only the genuinely
+  affected suffix of the pipeline recomputes;
+* the whole payload is the ``summarize`` entry, addressed by the
+  request itself (:func:`repro.batch.cache.cache_key`), so a
+  whole-payload hit is one read that resolves no upstream stage.
+  :class:`repro.batch.cache.CompileCache` is that view of the store.
 
-Integrity rules are the compile cache's, verbatim:
+Integrity rules:
 
-* **atomic writes** via :func:`atomic_write_json`;
+* **atomic writes** — :func:`atomic_write_json` stages the bytes in a
+  temp file beside the entry and ``os.replace``-s it into place, so a
+  crashed or killed writer never leaves a half-written entry, and two
+  writers racing on the same key both land a complete (identical)
+  file;
 * **verified reads** — a load recomputes the embedded data hash and
-  checks the stored stage/key/schema; any mismatch counts as a miss,
-  bumps ``stage.cache.corrupt``, and removes the entry so the slot
-  heals on the next store.
+  checks the stored stage, key and schema; any mismatch (truncation,
+  bit rot, another schema) counts as a miss and as ``corrupt``, and
+  the entry is removed so the slot heals on the next store.
 
-Counters land in the metrics registry under ``stage.cache.{hit,miss,
-corrupt,store}`` plus per-stage ``stage.cache.<outcome>.<stage>``
-breakdowns — explicit ``counter()`` calls work even while the registry
-is disabled, so sweep and service records can report per-stage hit
-rates without the profiling machinery switched on.
+Counters: one family, ``stage.cache.<outcome>`` plus the per-stage
+``stage.cache.<outcome>.<stage>``, for the outcomes in
+:data:`STAGE_CACHE_OUTCOMES` (the pass manager counts its hydrations
+through :meth:`ArtifactStore.count` too).  Explicit ``counter()`` calls
+work even while the registry is disabled, so sweep and service records
+report hit rates without the profiling machinery switched on.
 """
 
 from __future__ import annotations
@@ -45,43 +54,43 @@ __all__ = [
     "STAGE_CACHE_OUTCOMES",
     "ArtifactStore",
     "atomic_write_json",
-    "stage_store_dir",
+    "record_counts",
 ]
 
-#: Bump whenever the stage-entry layout or the request-key derivation
-#: changes — old entries then simply stop matching and recompute.
+#: Bump whenever the entry layout, the request-key derivation or the
+#: payload layout changes — old entries then simply stop matching and
+#: recompute.
 STORE_SCHEMA_VERSION = 1
 
-#: The counter suffixes the store emits (mirrors ``batch.cache.*``).
-STAGE_CACHE_OUTCOMES = ("hit", "miss", "corrupt", "store")
+#: What the store counts per stage: load outcomes, writes, and the
+#: pass manager's hydrations of loaded artifacts.
+STAGE_CACHE_OUTCOMES = ("hit", "miss", "corrupt", "store", "hydrate")
 
 _PathLike = Union[str, pathlib.Path]
-
-
-def stage_store_dir(cache_dir: _PathLike) -> pathlib.Path:
-    """Where the per-stage artifacts of a compile-cache directory live:
-    ``<cache_dir>/stages``, beside the whole-payload entries so one
-    ``--cache-dir`` (or ``REPRO_CACHE``) switch controls both tiers."""
-    return pathlib.Path(cache_dir) / "stages"
 
 
 def _data_sha256(data: Mapping[str, Any]) -> str:
     return hashlib.sha256(stable_json(data).encode("utf-8")).hexdigest()
 
 
+def record_counts(
+    registry: MetricsRegistry, counts: Mapping[str, Mapping[str, int]]
+) -> None:
+    """Add ``{stage: {outcome: n}}`` to ``registry``'s
+    ``stage.cache.<outcome>`` and ``stage.cache.<outcome>.<stage>``
+    counters — how a parent folds the counts its workers hand back."""
+    for stage, outcomes in counts.items():
+        for outcome, n in outcomes.items():
+            registry.counter(f"stage.cache.{outcome}").inc(n)
+            registry.counter(f"stage.cache.{outcome}.{stage}").inc(n)
+
+
 def atomic_write_json(
     target: pathlib.Path, entry: Mapping[str, Any], key_hint: str = "entry"
 ) -> pathlib.Path:
-    """Atomically write ``entry`` as indented canonical JSON.
-
-    The write discipline every content-addressed store in the repo
-    shares (:class:`ArtifactStore`, the whole-payload
-    :class:`~repro.batch.cache.CompileCache`): stage the bytes in a
-    temp file inside the target directory (same filesystem, so the
-    final ``os.replace`` is atomic), so a crashed or killed writer can
-    never leave a half-written entry behind, and two writers racing on
-    the same key both land a complete (identical) file.
-    """
+    """Atomically write ``entry`` as indented canonical JSON: stage the
+    bytes in a temp file inside the target directory (same filesystem,
+    so the final ``os.replace`` is atomic)."""
     target.parent.mkdir(parents=True, exist_ok=True)
     handle, staging = tempfile.mkstemp(
         prefix=f".{key_hint[:16]}.", suffix=".tmp", dir=target.parent
@@ -100,13 +109,14 @@ def atomic_write_json(
 
 
 class ArtifactStore:
-    """Content-addressed store of per-stage artifacts, one JSON file
-    per (stage, request key), safe for concurrent readers and writers.
+    """Content-addressed store of compile artifacts, one JSON file per
+    (stage, key), safe for concurrent readers and writers.
 
-    Like :class:`~repro.batch.cache.CompileCache`, instances are
-    pickle-friendly (they hold only the directory path) so sweep and
-    service pool workers can carry one across a fork/spawn; each
-    process talks to its own registry.
+    Instances are pickle-friendly (they carry only the directory path),
+    so sweep and service pool workers can take one across a fork/spawn;
+    each process talks to its own registry.  :attr:`counts` tallies
+    what this instance counted, so a worker can hand one item's counts
+    back to its parent (:func:`record_counts`).
     """
 
     def __init__(
@@ -116,6 +126,8 @@ class ArtifactStore:
     ) -> None:
         self.directory = pathlib.Path(directory)
         self._registry = registry
+        #: ``{stage: {outcome: count}}``
+        self.counts: Dict[str, Dict[str, int]] = {}
 
     def __getstate__(self) -> Dict[str, Any]:
         return {"directory": self.directory}
@@ -123,19 +135,23 @@ class ArtifactStore:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.directory = state["directory"]
         self._registry = None
+        self.counts = {}
 
     @property
     def registry(self) -> MetricsRegistry:
-        """Where stage-cache counters land (the bound registry, or the
+        """Where the counters land (the bound registry, or the
         process-wide default when none was given)."""
         return self._registry if self._registry is not None else default_registry()
 
-    def _count(self, outcome: str, stage: str) -> None:
-        self.registry.counter(f"stage.cache.{outcome}").inc()
-        self.registry.counter(f"stage.cache.{outcome}.{stage}").inc()
+    def count(self, outcome: str, stage: str) -> None:
+        """Count one ``outcome`` for ``stage`` in :attr:`counts` and in
+        the registry."""
+        per_stage = self.counts.setdefault(stage, {})
+        per_stage[outcome] = per_stage.get(outcome, 0) + 1
+        record_counts(self.registry, {stage: {outcome: 1}})
 
     def path_for(self, stage: str, key: str) -> pathlib.Path:
-        """The on-disk entry for one (stage, request key)."""
+        """The on-disk entry for one (stage, key)."""
         return self.directory / stage / f"{key}.json"
 
     # ------------------------------------------------------------------
@@ -147,25 +163,25 @@ class ArtifactStore:
 
         A corrupt entry — malformed JSON, wrong embedded stage/key or
         schema version, data-hash mismatch — is treated as a miss,
-        counted under ``stage.cache.corrupt``, and deleted so the next
-        store rewrites it cleanly.
+        counted as ``corrupt``, and deleted so the next store rewrites
+        it cleanly.
         """
         path = self.path_for(stage, key)
         try:
             text = path.read_text(encoding="utf-8")
         except OSError:
-            self._count("miss", stage)
+            self.count("miss", stage)
             return None
         entry = self._decode(text, stage, key)
         if entry is None:
-            self._count("corrupt", stage)
-            self._count("miss", stage)
+            self.count("corrupt", stage)
+            self.count("miss", stage)
             try:
                 path.unlink()
             except OSError:
                 pass
             return None
-        self._count("hit", stage)
+        self.count("hit", stage)
         return {"fingerprint": entry["fingerprint"], "data": entry["data"]}
 
     def _decode(
@@ -177,6 +193,9 @@ class ArtifactStore:
             return None
         if not isinstance(entry, dict):
             return None
+        # An older entry is stale; a newer one was written by a later
+        # build whose layout this reader cannot interpret.  Both are
+        # rejected before the data is touched.
         schema = entry.get("store_schema")
         if not isinstance(schema, int) or schema != STORE_SCHEMA_VERSION:
             return None
@@ -197,7 +216,7 @@ class ArtifactStore:
         fingerprint: str,
         data: Mapping[str, Any],
     ) -> pathlib.Path:
-        """Atomically persist one stage artifact under its request key."""
+        """Atomically persist one artifact under its key."""
         entry = {
             "store_schema": STORE_SCHEMA_VERSION,
             "stage": stage,
@@ -209,7 +228,7 @@ class ArtifactStore:
         target = atomic_write_json(
             self.path_for(stage, key), entry, key_hint=key
         )
-        self._count("store", stage)
+        self.count("store", stage)
         return target
 
     # ------------------------------------------------------------------

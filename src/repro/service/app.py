@@ -2,8 +2,8 @@
 
 :class:`CompileService` is the transport-independent core: an asyncio
 object that admits requests, runs compilations on a long-lived process
-pool, serves cache hits from the content-addressed compile cache, and
-answers health and metrics probes.  The HTTP layer
+pool, serves whole-payload hits from the content-addressed artifact
+store, and answers health and metrics probes.  The HTTP layer
 (:mod:`repro.service.http`) is a thin shell over :meth:`CompileService.
 handle`; tests drive ``handle`` directly and the contract is identical.
 
@@ -58,7 +58,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..batch.cache import CompileCache
+from ..batch.cache import PAYLOAD_STAGE, CompileCache
 from ..batch.sweep import (
     compile_item_task,
     item_result_from_entry,
@@ -66,6 +66,7 @@ from ..batch.sweep import (
     record_timings,
     SweepResult,
 )
+from ..compiler.store import record_counts
 from ..obs.metrics import MetricsRegistry
 from ..obs.schema import stable_json
 from ..obs.spans import NULL_TRACER, SpanShardWriter, Tracer, new_id
@@ -456,30 +457,25 @@ class CompileService:
                 # deadline — either way the result is dropped
                 self.registry.counter("service.requests.abandoned").inc()
 
-    def _merge_cache_stats(
-        self, stats: Optional[Mapping[str, int]], skip_lookup: bool
+    def _record_entry(
+        self, entry: Mapping[str, Any], skip_lookup: bool
     ) -> None:
-        """Fold a worker's cache counters into the service registry.
+        """Fold a worker's store counts and compile timer rows into the
+        service registry.
 
-        ``skip_lookup`` drops the worker's hit/miss — used when the
-        service already performed (and counted) the in-process lookup
-        for the same request, so hits and misses are counted once.
+        ``skip_lookup`` drops the worker's whole-payload hit/miss —
+        used when the service already performed (and counted) the
+        in-process lookup for the same request, so each is counted once.
         """
-        for outcome, count in (stats or {}).items():
-            if skip_lookup and outcome in ("hit", "miss"):
-                continue
-            if count:
-                self.registry.counter(f"batch.cache.{outcome}").inc(count)
-
-    def _merge_stage_stats(
-        self, stats: Optional[Mapping[str, int]]
-    ) -> None:
-        """Fold a worker's per-stage artifact-cache counters into the
-        service registry (``stage.cache.*`` — the service itself never
-        performs stage lookups, so nothing is double-counted)."""
-        for outcome, count in (stats or {}).items():
-            if count:
-                self.registry.counter(f"stage.cache.{outcome}").inc(count)
+        counts = dict(entry["store_counts"] or {})
+        if skip_lookup and PAYLOAD_STAGE in counts:
+            counts[PAYLOAD_STAGE] = {
+                outcome: count
+                for outcome, count in counts[PAYLOAD_STAGE].items()
+                if outcome not in ("hit", "miss")
+            }
+        record_counts(self.registry, counts)
+        record_timings(self.registry, entry["timings"])
 
     # ------------------------------------------------------------------
     # Handlers
@@ -633,16 +629,7 @@ class CompileService:
             payload: Optional[Dict[str, Any]] = None
             key: Optional[str] = None
             if self.cache is not None:
-                from ..batch.cache import cache_key
-
-                key = cache_key(
-                    item.source,
-                    scalars=item.scalars,
-                    pipeline_stages=item.pipeline_stages,
-                    include_io=item.include_io,
-                    engine=item.engine,
-                    unroll=item.unroll,
-                )
+                key = item.cache_key()
                 payload = await asyncio.to_thread(self.cache.load, key)
             if payload is not None:
                 cache_state.append("hit")
@@ -650,12 +637,8 @@ class CompileService:
                 entry = await self._await_entry(
                     self._submit(0, item), deadline
                 )
-                self._merge_cache_stats(
-                    entry.get("cache_stats"), skip_lookup=self.cache is not None
-                )
-                self._merge_stage_stats(entry.get("stage_stats"))
-                record_timings(self.registry, entry.get("timings"))
-                key = entry.get("key") or key
+                self._record_entry(entry, skip_lookup=self.cache is not None)
+                key = entry["key"]
                 if entry["status"] == "error":
                     raise WireError(
                         422,
@@ -704,11 +687,7 @@ class CompileService:
                 self._reap(*futures)
                 raise
             for entry in entries:
-                self._merge_cache_stats(
-                    entry.get("cache_stats"), skip_lookup=False
-                )
-                self._merge_stage_stats(entry.get("stage_stats"))
-                record_timings(self.registry, entry.get("timings"))
+                self._record_entry(entry, skip_lookup=False)
         finally:
             self._release()
         entries.sort(key=lambda entry: entry["index"])  # manifest order

@@ -1,12 +1,12 @@
-"""The content-addressed compile cache: keys, atomic stores, verified
-loads, corruption handling, and the shared REPRO_CACHE env parser."""
-
-import json
+"""The whole-payload address (``cache_key``), the ``CompileCache`` view
+of the artifact store, and the shared REPRO_CACHE env parser.  The
+entries themselves are the artifact store's:
+``tests/compiler/test_store.py`` covers their integrity."""
 
 import pytest
 
 from repro.batch import (
-    CACHE_SCHEMA_VERSION,
+    PAYLOAD_STAGE,
     CompileCache,
     cache_key,
     default_cache_dir,
@@ -25,8 +25,11 @@ def cache(tmp_path):
 
 
 def counters(cache):
+    """The payload entry's per-stage counters."""
     return {
-        name: cache.registry.counter(f"batch.cache.{name}").value
+        name: cache.artifacts.registry.counter(
+            f"stage.cache.{name}.{PAYLOAD_STAGE}"
+        ).value
         for name in ("hit", "miss", "corrupt", "store")
     }
 
@@ -67,11 +70,15 @@ class TestCacheKey:
 
 
 class TestStoreLoad:
+    """``CompileCache.load``/``store`` address the store's
+    :data:`PAYLOAD_STAGE` entry by ``cache_key``."""
+
     def test_round_trip(self, cache):
         key = cache_key("src")
         assert cache.load(key) is None  # cold miss
-        cache.store(key, PAYLOAD)
-        assert key in cache
+        path = cache.store(key, PAYLOAD)
+        assert path == cache.artifacts.path_for(PAYLOAD_STAGE, key)
+        assert (PAYLOAD_STAGE, key) in cache.artifacts
         loaded = cache.load(key)
         assert stable_json(loaded) == stable_json(PAYLOAD)
         assert counters(cache) == {
@@ -79,91 +86,12 @@ class TestStoreLoad:
         }
 
     def test_store_leaves_no_temp_files(self, cache):
-        key = cache_key("src")
-        cache.store(key, PAYLOAD)
+        cache.store(cache_key("src"), PAYLOAD)
         leftovers = [
-            p for p in cache.directory.iterdir() if p.suffix == ".tmp"
+            p for p in cache.directory.rglob("*") if p.suffix == ".tmp"
         ]
         assert leftovers == []
-        assert len(cache) == 1
-
-    def test_entry_file_embeds_schema_key_and_hash(self, cache):
-        key = cache_key("src")
-        path = cache.store(key, PAYLOAD)
-        entry = json.loads(path.read_text())
-        assert entry["cache_schema"] == CACHE_SCHEMA_VERSION
-        assert entry["key"] == key
-        assert set(entry) == {
-            "cache_schema", "key", "payload", "payload_sha256",
-        }
-
-
-class TestCorruption:
-    def corrupt_and_load(self, cache, mutate):
-        key = cache_key("src")
-        path = cache.store(key, PAYLOAD)
-        mutate(path)
-        return key, cache.load(key)
-
-    def test_truncated_entry_is_a_counted_miss(self, cache):
-        key, loaded = self.corrupt_and_load(
-            cache, lambda p: p.write_text(p.read_text()[: len(p.read_text()) // 2])
-        )
-        assert loaded is None
-        assert cache.registry.counter("batch.cache.corrupt").value == 1
-        # the corrupt file was removed so the next store heals the slot
-        assert key not in cache
-
-    def test_payload_tamper_fails_the_hash_check(self, cache):
-        def flip(path):
-            entry = json.loads(path.read_text())
-            entry["payload"]["rate"] = "2/3"
-            path.write_text(json.dumps(entry))
-
-        _, loaded = self.corrupt_and_load(cache, flip)
-        assert loaded is None
-
-    def test_wrong_key_in_entry_is_rejected(self, cache):
-        def rekey(path):
-            entry = json.loads(path.read_text())
-            entry["key"] = "0" * 64
-            path.write_text(json.dumps(entry))
-
-        _, loaded = self.corrupt_and_load(cache, rekey)
-        assert loaded is None
-
-    def test_future_schema_version_is_not_trusted(self, cache):
-        def bump(path):
-            entry = json.loads(path.read_text())
-            entry["cache_schema"] = CACHE_SCHEMA_VERSION + 1
-            path.write_text(json.dumps(entry))
-
-        _, loaded = self.corrupt_and_load(cache, bump)
-        assert loaded is None
-
-    def test_pre_unroll_schema_entry_is_a_clean_miss(self, cache):
-        """A cache warmed before the unroll field existed (schema 1)
-        must miss cleanly — its payloads lack the v2 fields, so
-        trusting them would resurrect pre-unroll results under v2
-        keys."""
-        def downgrade(path):
-            entry = json.loads(path.read_text())
-            entry["cache_schema"] = CACHE_SCHEMA_VERSION - 1
-            path.write_text(json.dumps(entry))
-
-        key, loaded = self.corrupt_and_load(cache, downgrade)
-        assert loaded is None
-        # the stale entry was evicted; the next store re-warms the slot
-        assert key not in cache
-
-    def test_non_integer_schema_is_not_trusted(self, cache):
-        def mangle(path):
-            entry = json.loads(path.read_text())
-            entry["cache_schema"] = str(CACHE_SCHEMA_VERSION)
-            path.write_text(json.dumps(entry))
-
-        _, loaded = self.corrupt_and_load(cache, mangle)
-        assert loaded is None
+        assert len(cache.artifacts) == 1
 
 
 class TestResolveCacheDir:
@@ -192,15 +120,3 @@ class TestResolveCacheDir:
         blocker.write_text("a file, not a directory")
         with pytest.raises(LedgerError):
             resolve_cache_dir(str(blocker / "cache"))
-
-
-class TestPickling:
-    def test_cache_survives_pickling_without_its_registry(self, tmp_path):
-        import pickle
-
-        original = CompileCache(tmp_path, registry=MetricsRegistry())
-        clone = pickle.loads(pickle.dumps(original))
-        assert clone.directory == original.directory
-        key = cache_key("src")
-        clone.store(key, PAYLOAD)
-        assert stable_json(clone.load(key)) == stable_json(PAYLOAD)

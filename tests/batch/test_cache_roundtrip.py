@@ -8,7 +8,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.batch import CompileCache, SweepItem, cache_key, compile_many
+from repro.batch import PAYLOAD_STAGE, CompileCache, SweepItem, compile_many
 from repro.obs import stable_json
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import CompiledLoopSummary, compile_loop
@@ -100,14 +100,7 @@ class TestCorruptEntriesRecompile:
         cache = CompileCache(tmp_path, registry=MetricsRegistry())
         item = PAPER_ITEMS[0]
         cold = compile_many([item], cache=cache)
-        key = cache_key(
-            item.source,
-            scalars=item.scalars,
-            pipeline_stages=item.pipeline_stages,
-            include_io=item.include_io,
-            engine=item.engine,
-        )
-        path = cache.path_for(key)
+        path = cache.artifacts.path_for(PAYLOAD_STAGE, item.cache_key())
         path.write_text(path.read_text()[:100])  # truncate
 
         healed = compile_many([item], cache=cache)
@@ -124,16 +117,9 @@ class TestCorruptEntriesRecompile:
         cache = CompileCache(tmp_path, registry=MetricsRegistry())
         item = PAPER_ITEMS[1]
         cold = compile_many([item], cache=cache)
-        key = cache_key(
-            item.source,
-            scalars=item.scalars,
-            pipeline_stages=item.pipeline_stages,
-            include_io=item.include_io,
-            engine=item.engine,
-        )
-        path = cache.path_for(key)
+        path = cache.artifacts.path_for(PAYLOAD_STAGE, item.cache_key())
         entry = json.loads(path.read_text())
-        entry["payload"]["rate"] = "9999"  # lie about the rate
+        entry["data"]["rate"] = "9999"  # lie about the rate
         path.write_text(json.dumps(entry))
 
         healed = compile_many([item], cache=cache)

@@ -30,26 +30,20 @@ class TestStageStats:
     def test_warm_item_hits_every_cacheable_stage(self, tmp_path):
         compile_one(GOOD, cache_dir=tmp_path)
         warm = compile_one(GOOD, cache_dir=tmp_path)
-        # the warm item is served by the L1 payload cache, so the
+        # the warm item is served by its whole-payload entry, so the
         # staged compiler never even runs
         assert warm.cache_hit
         assert warm.stage_outcomes is None
 
     def test_l1_invalidation_falls_back_to_stage_hits(self, tmp_path):
-        from repro.batch.cache import CompileCache, cache_key
+        from repro.batch.cache import PAYLOAD_STAGE
+        from repro.compiler import ArtifactStore
 
         compile_one(GOOD, cache_dir=tmp_path)
         # drop the whole-payload entry; the per-stage artifacts survive
-        cache = CompileCache(tmp_path)
-        key = cache_key(
-            GOOD.source,
-            scalars=GOOD.scalars,
-            pipeline_stages=GOOD.pipeline_stages,
-            include_io=GOOD.include_io,
-            engine=GOOD.engine,
-            unroll=GOOD.unroll,
-        )
-        cache.path_for(key).unlink()
+        ArtifactStore(tmp_path).path_for(
+            PAYLOAD_STAGE, GOOD.cache_key()
+        ).unlink()
         rebuilt = compile_one(GOOD, cache_dir=tmp_path)
         assert rebuilt.ok and not rebuilt.cache_hit
         assert rebuilt.stage_outcomes is not None

@@ -3,6 +3,7 @@ per-stage hit counters and the ``X-Stage-Hits`` sweep header."""
 
 import json
 
+from repro.batch import PAYLOAD_STAGE
 from repro.obs.openmetrics import parse_exposition
 from tests.conftest import L2_SOURCE
 from tests.service.test_app import make_service, post, run
@@ -69,14 +70,18 @@ class TestStageCounters:
             service = make_service(cache_dir=str(tmp_path / "cache"))
             service.start()
             cold = await post(service, "/v1/sweep", {"items": [CARRIED]})
-            # drop the L1 payload entry so the warm sweep exercises the
-            # per-stage store instead of the whole-payload cache
-            for entry in (tmp_path / "cache").glob("*.json"):
+            # drop the whole-payload entry so the warm sweep exercises
+            # the stage artifacts instead
+            payloads = list((tmp_path / "cache" / PAYLOAD_STAGE).glob("*.json"))
+            for entry in payloads:
                 entry.unlink()
             warm = await post(service, "/v1/sweep", {"items": [CARRIED]})
-            return cold, warm
+            return cold, warm, payloads
 
-        cold, warm = run(scenario())
+        cold, warm, payloads = run(scenario())
+        assert len(payloads) == 1
+        assert cold.headers["X-Cache-Misses"] == "1"
+        assert warm.headers["X-Cache-Misses"] == "1"
         assert cold.headers["X-Stage-Hits"] == "0"
         assert int(warm.headers["X-Stage-Hits"]) > 0
         assert cold.body == warm.body

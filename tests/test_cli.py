@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.batch import PAYLOAD_STAGE
 from repro.cli import build_parser, main
 from tests.conftest import L1_SOURCE, L2_SOURCE
 
@@ -657,7 +658,7 @@ class TestSweep:
         status, text = run(["sweep", manifest])
         assert status == 0
         assert "miss(es)" in text
-        assert any(cache.glob("*.json"))
+        assert any((cache / PAYLOAD_STAGE).glob("*.json"))
         # falsy spellings must NOT create a directory named "0"
         monkeypatch.setenv("REPRO_CACHE", "0")
         status, text = run(["sweep", manifest])

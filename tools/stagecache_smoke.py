@@ -9,11 +9,13 @@ per-stage artifact cache contract end to end:
    (cold) and then ``--unroll 2`` (the resolved factor) against the
    same cache directory must emit payloads that agree on every shared
    fact — the second run is served from upstream artifacts;
-2. the stage store exists on disk (``<cache>/stages/<stage>/…``) and
-   holds one artifact per cacheable stage after the cold compile;
-3. a warm ``repro sweep`` over the same cache reports per-item cache
-   hits AND the byte-identical merged payload of a cold sweep in a
-   fresh directory;
+2. the artifact store exists on disk (``<cache>/<stage>/…``) and
+   holds one artifact per cacheable stage after the cold compile, plus
+   the whole payload under ``summarize/``;
+3. a warm ``repro sweep`` over the same cache merges to the
+   byte-identical payload of a cold sweep in a fresh directory, and so
+   does a third sweep after the whole-payload entries are deleted —
+   which must report no whole-payload hit and at least one stage hit;
 4. a sweep containing a broken loop names the failing stage in its
    error record (``"stage": "parse"``);
 5. ``repro compile`` of a broken loop prints ``failing stage: parse``
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -46,6 +49,9 @@ EXPECTED_STAGES = {
     "rate",
     "verify",
 }
+
+#: the stage whose entries hold whole payloads
+PAYLOAD_STAGE = "summarize"
 
 
 def fail(message: str) -> None:
@@ -84,11 +90,12 @@ def check_upstream_reuse(cache: pathlib.Path) -> dict:
     if not isinstance(factor, int) or factor <= 1:
         fail(f"{LOOP}: auto should resolve a factor > 1, got {factor!r}")
 
-    stage_root = cache / "stages"
-    if not stage_root.is_dir():
-        fail(f"stage store {stage_root} was not created")
-    populated = {p.name for p in stage_root.iterdir() if any(p.iterdir())}
-    missing = EXPECTED_STAGES - populated
+    if not cache.is_dir():
+        fail(f"artifact store {cache} was not created")
+    populated = {
+        p.name for p in cache.iterdir() if p.is_dir() and any(p.iterdir())
+    }
+    missing = (EXPECTED_STAGES | {PAYLOAD_STAGE}) - populated
     if missing:
         fail(f"stage store is missing artifacts for: {sorted(missing)}")
 
@@ -97,7 +104,7 @@ def check_upstream_reuse(cache: pathlib.Path) -> dict:
     for field in ("rate", "achieved_rate", "frustum", "schedule", "unroll"):
         if auto.get(field) != explicit.get(field):
             fail(f"auto vs explicit-U payloads disagree on {field!r}")
-    return {"factor": factor, "stages": sorted(populated)}
+    return {"factor": factor, "stages": sorted(populated - {PAYLOAD_STAGE})}
 
 
 def check_sweep(cache: pathlib.Path) -> None:
@@ -127,10 +134,13 @@ def check_sweep(cache: pathlib.Path) -> None:
             fail(f"warm sweep exited {warm.returncode} (expected 1):\n"
                  f"{warm.stderr}")
 
-        # drop the whole-payload (L1) entries so a third sweep is
-        # rebuilt from per-stage artifacts alone — and still merges to
-        # the same bytes
-        for entry in cache.glob("*.json"):
+        # drop the whole-payload entries so a third sweep is rebuilt
+        # from stage artifacts alone — and still merges to the same
+        # bytes
+        payloads = list((cache / PAYLOAD_STAGE).glob("*.json"))
+        if not payloads:
+            fail(f"no whole-payload entries under {cache / PAYLOAD_STAGE}")
+        for entry in payloads:
             entry.unlink()
         staged_out = pathlib.Path(tmp) / "staged.json"
         staged_run = run_cli("sweep", str(manifest_path), "--cache-dir",
@@ -139,8 +149,18 @@ def check_sweep(cache: pathlib.Path) -> None:
         if staged_run.returncode != 1:
             fail(f"staged sweep exited {staged_run.returncode} "
                  f"(expected 1):\n{staged_run.stderr}")
-        if "stage cache:" not in staged_run.stdout:
-            fail("staged sweep output lacks the stage-cache summary line")
+        payload_hits = re.search(r"; cache .*: (\d+) hit\(s\)",
+                                 staged_run.stdout)
+        stage_hits = re.search(r"^stage cache: (\d+) hit\(s\)",
+                               staged_run.stdout, re.MULTILINE)
+        if payload_hits is None or stage_hits is None:
+            fail("staged sweep output lacks a cache summary line:\n"
+                 f"{staged_run.stdout}")
+        if int(payload_hits.group(1)) != 0:
+            fail("staged sweep was served whole payloads after they were "
+                 f"deleted ({payload_hits.group(1)} hit(s))")
+        if int(stage_hits.group(1)) < 1:
+            fail("staged sweep was not rebuilt from stage artifacts")
         if json.loads(staged_out.read_text()) != json.loads(
             warm_out.read_text()
         ):
