@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify test bench-selftest smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke doctest linkcheck docstring-lint bench bench-check baseline dash clean
+.PHONY: verify test bench-selftest answers smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke doctest linkcheck docstring-lint bench bench-check baseline dash clean
 
-verify: test bench-selftest doctest linkcheck docstring-lint smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke
+verify: test bench-selftest answers doctest linkcheck docstring-lint smoke sweep-smoke trace-smoke explain-smoke serve-smoke unroll-smoke stagecache-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -12,6 +12,11 @@ test:
 # goldens and the paper anchors, the seeded draws, the trace lint
 bench-selftest:
 	$(PYTHON) -m pytest tpnbench/tests -q
+
+# every recorded tpnbench answer, compiled cold into a fresh store and
+# then warm from it, must reproduce its payload digest
+answers:
+	$(PYTHON) tools/check_answers.py
 
 doctest:
 	$(PYTHON) -m pytest --doctest-modules src/repro/petrinet src/repro/core src/repro/digraph.py -q

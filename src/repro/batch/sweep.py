@@ -135,8 +135,9 @@ class SweepItemResult:
         return totals
 
     def summary(self):
-        """Rehydrate the full :class:`repro.pipeline.CompiledLoopSummary`
-        (``None`` for error items)."""
+        """The parsed view of this item's payload, a
+        :class:`repro.pipeline.CompiledLoopSummary` (``None`` for error
+        items)."""
         if self.payload is None:
             return None
         from ..pipeline import CompiledLoopSummary
@@ -466,6 +467,9 @@ def compile_one(
     The one-item convenience over :func:`compile_item_task` used by
     ``repro compile`` and by tests that want the exact payload the
     service and the sweep driver would produce for the same input.
+    While the process-wide registry is enabled, the item's store
+    counters and timer rows are folded into it, as
+    :func:`compile_many` folds every item's.
     """
     task = (
         0,
@@ -475,6 +479,7 @@ def compile_one(
     result = item_result_from_entry(compile_item_task(task))
     registry = default_registry()
     if registry.enabled:
+        record_counts(registry, result.store_counts or {})
         record_timings(registry, result.timings)
     return result
 

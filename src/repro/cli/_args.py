@@ -10,8 +10,7 @@ construction.
 from __future__ import annotations
 
 import argparse
-from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..errors import ReproError
 
@@ -113,24 +112,37 @@ def compile_from_args(args: argparse.Namespace, stages: Optional[int] = None):
         unroll=getattr(args, "unroll", 1),
     )
     if getattr(args, "ledger", None) is not None:
-        # stable facts for the run ledger; main() appends the record
-        # (with timing/environment sections) after the command succeeds
-        args.ledger_payload = {
-            "loop": result.translation.loop.name,
-            "cycle_time": Fraction(1, 1) / result.optimal_rate,
-            "rate": result.optimal_rate,
-            "unroll": result.unroll,
-            "achieved_rate": result.achieved_rate,
-            "dependence_bound": result.dependence_bound,
-            "initiation_interval": result.schedule.initiation_interval,
-            "frustum_length": result.frustum.length,
-            "transient": result.frustum.start_time,
-            "repeat_time": result.frustum.repeat_time,
-            "n_transitions": len(result.pn.net.transition_names),
-            "net_size": result.pn.size,
-            "engine": result.engine,
-        }
+        # main() appends the record (with timing/environment sections)
+        # after the command succeeds
+        args.ledger_payload = ledger_facts(result.payload)
     return result
+
+
+#: Payload fields a loop command's run-ledger record copies as they are.
+_LEDGER_FIELDS = (
+    "loop",
+    "cycle_time",
+    "rate",
+    "unroll",
+    "achieved_rate",
+    "dependence_bound",
+    "initiation_interval",
+    "n_transitions",
+    "net_size",
+    "engine",
+)
+
+
+def ledger_facts(payload: Mapping[str, Any]) -> Dict[str, Any]:
+    """The stable facts of a loop command's run-ledger record, read
+    from its compile payload — so every loop command records the same
+    facts for the same loop, whatever the cache held."""
+    frustum = payload["frustum"]
+    facts = {name: payload[name] for name in _LEDGER_FIELDS}
+    facts["frustum_length"] = frustum["length"]
+    facts["transient"] = frustum["start_time"]
+    facts["repeat_time"] = frustum["repeat_time"]
+    return facts
 
 
 def resolve_cli_cache_dir(args: argparse.Namespace):

@@ -11,6 +11,7 @@ from ._args import (
     add_common,
     add_unroll,
     compile_from_args,
+    ledger_facts,
     parse_scalars,
     resolve_cli_cache_dir,
 )
@@ -241,20 +242,5 @@ def cmd_compile(args: argparse.Namespace, out) -> int:
     else:
         out.write(text)
     if args.ledger is not None:
-        args.ledger_payload = {
-            "loop": payload["loop"],
-            "cycle_time": payload["cycle_time"],
-            "rate": payload["rate"],
-            "unroll": payload.get("unroll", 1),
-            "achieved_rate": payload.get("achieved_rate"),
-            "dependence_bound": payload.get("dependence_bound"),
-            "initiation_interval": payload["initiation_interval"],
-            "frustum_length": payload["frustum"]["length"],
-            "transient": payload["frustum"]["start_time"],
-            "repeat_time": payload["frustum"]["repeat_time"],
-            "n_transitions": payload["n_transitions"],
-            "net_size": payload["net_size"],
-            "engine": payload["engine"],
-            "cache_hit": result.cache_hit,
-        }
+        args.ledger_payload = ledger_facts(payload)
     return 0

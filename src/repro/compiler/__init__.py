@@ -15,8 +15,9 @@ schema-versioned passes:
 * :mod:`repro.compiler.artifacts` — canonical dumps and the
   fingerprint scheme that lets different requests converge on shared
   artifacts;
-* :mod:`repro.compiler.result` — the ``CompiledLoop`` /
-  ``CompiledLoopSummary`` result types (re-exported unchanged through
+* :mod:`repro.compiler.result` — the ``CompiledLoop`` result type and
+  ``CompiledLoopSummary``, the parsed view of the payload the
+  ``summarize`` stage merges (both re-exported through
   :mod:`repro.pipeline`).
 
 :func:`repro.pipeline.compile_loop` remains the public façade; this
@@ -45,6 +46,7 @@ from .result import (
     CompiledLoopSummary,
     FrustumSummary,
     fraction_from,
+    frustum_payload,
     schedule_from_payload,
     schedule_payload,
 )
@@ -85,6 +87,7 @@ __all__ = [
     "content_fingerprint",
     "failing_stage",
     "fraction_from",
+    "frustum_payload",
     "graph_dump",
     "in_report_order",
     "loop_dump",

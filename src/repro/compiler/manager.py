@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from time import perf_counter
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Tuple, Union
@@ -425,7 +425,8 @@ def compile_live(
 ) -> CompiledLoop:
     """Run the full stage sequence storeless (every stage computes,
     all live artifacts present) and assemble the classic
-    :class:`~repro.compiler.result.CompiledLoop` — the engine behind
+    :class:`~repro.compiler.result.CompiledLoop`, carrying the payload
+    ``summarize`` merged — the engine behind
     :func:`repro.pipeline.compile_loop`."""
     manager = PassManager(request, instrumentation=instrumentation)
     manager.run()
@@ -436,9 +437,10 @@ def compile_live(
         behavior=manager.live("simulate", "behavior"),
         schedule=manager.live("extract_kernel", "schedule"),
         bounds=manager.live("rate", "bounds"),
+        rate=manager.live("rate", "rate"),
+        payload=manager.data("summarize")["payload"],
         engine=request.engine,
         include_io=request.include_io,
-        rate=manager.live("rate", "rate"),
         unroll=manager.live("unroll", "factor"),
         achieved_rate=manager.live("rate", "achieved"),
         dependence_bound=manager.live("rate_analysis", "dependence_bound"),
@@ -448,12 +450,6 @@ def compile_live(
         result.scp_frustum = manager.live("scp_simulate", "frustum")
         result.scp_behavior = manager.live("scp_simulate", "behavior")
         result.scp_schedule = manager.live("scp_extract", "schedule")
-    # the summary shares this compile's schedules (summarize rebuilt them)
-    result.summarized = replace(
-        manager.live("summarize", "summary"),
-        schedule=result.schedule,
-        scp_schedule=result.scp_schedule,
-    )
     return result
 
 
@@ -465,10 +461,12 @@ def compile_staged(
 ) -> Tuple[Dict[str, Any], Dict[str, str]]:
     """Run one compilation (against the per-stage artifact store, when
     one is given) and return ``(payload, outcomes)``: the deterministic
-    ``CompiledLoopSummary.payload()`` dict plus the per-stage
-    resolution outcomes (``computed`` / ``hit`` / ``hydrated``).
+    payload dict ``summarize`` merged (the value
+    :meth:`~repro.compiler.result.CompiledLoopSummary.from_payload`
+    parses) plus the per-stage resolution outcomes (``computed`` /
+    ``hit`` / ``hydrated``).
 
-    The payload is assembled from stage projections alone, so a fully
+    The payload is merged from stage projections alone, so a fully
     warm request hydrates nothing — it costs a handful of JSON reads.
     """
     manager = PassManager(

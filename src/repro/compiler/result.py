@@ -1,30 +1,34 @@
-"""Result types of a compilation: the live artifact bundle and its
-deterministic, serialisable projection.
+"""Result types of a compilation: the live artifact bundle and the
+parsed view of its deterministic payload.
 
-These classes moved here verbatim from :mod:`repro.pipeline` when the
-monolithic ``compile_loop`` was decomposed into the staged pass
-manager (:mod:`repro.compiler.manager`); the pipeline module re-exports
-them, so ``from repro.pipeline import CompiledLoopSummary`` keeps
-working and every payload stays byte-identical.
+The payload itself — a plain JSON-ready dict — is built in exactly one
+place, the ``summarize`` stage (:mod:`repro.compiler.stages`), which
+merges the upstream stages' ``data`` projections.  These types only
+carry or parse it:
 
 * :class:`CompiledLoop` — every live artifact of one compilation
-  (translation, nets, frusta, behavior graphs, schedules);
-* :class:`CompiledLoopSummary` — the pure-data projection whose
-  :meth:`~CompiledLoopSummary.payload` round-trips byte-identically
-  under :func:`repro.obs.stable_json` (the value type of the compile
-  cache and of ``repro sweep`` / ``repro serve``);
-* :class:`FrustumSummary` — the serialisable facts of a detected
-  cyclic frustum.
+  (translation, nets, frusta, behavior graphs, schedules) plus the
+  compile's :attr:`~CompiledLoop.payload`;
+* :class:`CompiledLoopSummary` — the parsed view of a payload (the
+  value type of the compile cache and of ``repro sweep`` /
+  ``repro serve``): :meth:`~CompiledLoopSummary.from_payload` keeps the
+  dict, :meth:`~CompiledLoopSummary.payload` returns it, and each field
+  parses on first read;
+* :class:`FrustumSummary` — the parsed facts of a detected cyclic
+  frustum.
+
+:mod:`repro.pipeline` re-exports all three.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..core.bounds import TheoreticalBounds
-from ..core.rate import optimal_rate, pipeline_utilization
+from ..core.rate import pipeline_utilization
 from ..core.schedule import PipelinedSchedule, ScheduledOp
 from ..core.scp import SdspScpNet
 from ..core.sdsp_pn import SdspPetriNet
@@ -38,16 +42,17 @@ __all__ = [
     "CompiledLoopSummary",
     "FrustumSummary",
     "fraction_from",
+    "frustum_payload",
     "schedule_payload",
     "schedule_from_payload",
 ]
 
-#: Version of the :meth:`CompiledLoopSummary.payload` layout.  Version
-#: 2 added ``unroll`` / ``achieved_rate`` / ``dependence_bound`` (and
-#: this field itself); version-1 payloads — which carry none of them —
-#: still load with ``unroll = 1`` defaults, while payloads *newer* than
-#: the reader are rejected outright (a reader must never silently
-#: reinterpret fields it does not know about).
+#: Version of the payload layout.  Version 2 added ``unroll`` /
+#: ``achieved_rate`` / ``dependence_bound`` (and this field itself);
+#: version-1 payloads — which carry none of them — still load with
+#: ``unroll = 1`` defaults, while payloads *newer* than the reader are
+#: rejected outright (a reader must never silently reinterpret fields
+#: it does not know about).
 PAYLOAD_SCHEMA_VERSION = 2
 
 
@@ -57,16 +62,16 @@ def fraction_from(value: Any) -> Fraction:
     return Fraction(str(value))
 
 
+def _optional_fraction(value: Any) -> Optional[Fraction]:
+    return fraction_from(value) if value is not None else None
+
+
 @dataclass(frozen=True)
 class FrustumSummary:
-    """The deterministic facts of a detected cyclic frustum.
-
-    This is the serialisable projection of
-    :class:`~repro.petrinet.behavior.CyclicFrustum` — everything the
+    """The deterministic facts of a detected cyclic frustum, parsed
+    from its projection (:func:`frustum_payload`) — everything the
     Tables 1/2 measurement columns need, without the instantaneous
-    state or the behavior graph, so it survives a JSON round trip
-    byte-identically (the compile cache stores exactly this).
-    """
+    state or the behavior graph."""
 
     start_time: int
     repeat_time: int
@@ -76,28 +81,6 @@ class FrustumSummary:
     @property
     def length(self) -> int:
         return self.repeat_time - self.start_time
-
-    @classmethod
-    def from_frustum(cls, frustum: CyclicFrustum) -> "FrustumSummary":
-        return cls(
-            start_time=frustum.start_time,
-            repeat_time=frustum.repeat_time,
-            firing_counts=dict(frustum.firing_counts),
-            schedule_steps=tuple(
-                (time, tuple(fired)) for time, fired in frustum.schedule_steps
-            ),
-        )
-
-    def payload(self) -> Dict[str, Any]:
-        return {
-            "start_time": self.start_time,
-            "repeat_time": self.repeat_time,
-            "length": self.length,
-            "firing_counts": dict(self.firing_counts),
-            "schedule_steps": [
-                [time, list(fired)] for time, fired in self.schedule_steps
-            ],
-        }
 
     @classmethod
     def from_payload(cls, data: Mapping[str, Any]) -> "FrustumSummary":
@@ -113,6 +96,20 @@ class FrustumSummary:
                 for time, fired in data["schedule_steps"]
             ),
         )
+
+
+def frustum_payload(frustum: CyclicFrustum) -> Dict[str, Any]:
+    """The JSON-ready projection of a
+    :class:`~repro.petrinet.behavior.CyclicFrustum`."""
+    return {
+        "start_time": frustum.start_time,
+        "repeat_time": frustum.repeat_time,
+        "length": frustum.length,
+        "firing_counts": dict(frustum.firing_counts),
+        "schedule_steps": [
+            [time, list(fired)] for time, fired in frustum.schedule_steps
+        ],
+    }
 
 
 def schedule_payload(schedule: PipelinedSchedule) -> Dict[str, Any]:
@@ -150,97 +147,31 @@ def schedule_from_payload(data: Mapping[str, Any]) -> PipelinedSchedule:
     )
 
 
-@dataclass
 class CompiledLoopSummary:
-    """The deterministic payload of one compilation.
+    """The parsed view of one compile's deterministic payload.
 
-    Everything here is a pure function of ``(source, scalars,
-    pipeline_stages, include_io, engine)`` — no nets, no behavior
-    graphs, no wall clock — which makes it the value type of the
-    content-addressed compile cache (:mod:`repro.batch.cache`) and the
-    per-item record of ``repro sweep``.  ``payload()`` and
-    ``from_payload()`` round-trip byte-identically under
-    :func:`repro.obs.stable_json`.
+    The payload is a pure function of ``(source, scalars,
+    pipeline_stages, include_io, engine, unroll)`` — no nets, no
+    behavior graphs, no wall clock — which makes it the value type of
+    the content-addressed compile cache (:mod:`repro.batch.cache`) and
+    the per-item record of ``repro sweep``.  Build a view with
+    :meth:`from_payload`, which keeps the dict; :meth:`payload` returns
+    that same dict, so its bytes are exactly the compile's.  Each field
+    parses on first read (the schedules and frusta are parsed once).
     """
 
-    loop: str
-    engine: str
-    include_io: bool
-    pipeline_stages: Optional[int]
-    rate: Fraction
-    bounds: TheoreticalBounds
-    net_size: int
-    n_transitions: int
-    frustum: FrustumSummary
-    schedule: PipelinedSchedule
-    scp_utilization: Optional[Fraction] = None
-    scp_frustum: Optional[FrustumSummary] = None
-    scp_schedule: Optional[PipelinedSchedule] = None
-    unroll: int = 1
-    achieved_rate: Optional[Fraction] = None
-    dependence_bound: Optional[Fraction] = None
-
-    @property
-    def optimal_rate(self) -> Fraction:
-        """Alias matching :attr:`CompiledLoop.optimal_rate`."""
-        return self.rate
-
-    @property
-    def cycle_time(self) -> Fraction:
-        return Fraction(1, 1) / self.rate
-
-    def payload(self) -> Dict[str, Any]:
-        """The stable JSON-ready dict (ledger-schema normalised)."""
-        from ..obs.schema import normalize_payload
-
-        raw: Dict[str, Any] = {
-            "payload_schema": PAYLOAD_SCHEMA_VERSION,
-            "loop": self.loop,
-            "engine": self.engine,
-            "include_io": self.include_io,
-            "pipeline_stages": self.pipeline_stages,
-            "unroll": self.unroll,
-            "achieved_rate": self.achieved_rate,
-            "dependence_bound": self.dependence_bound,
-            "rate": self.rate,
-            "cycle_time": self.cycle_time,
-            "initiation_interval": self.schedule.initiation_interval,
-            "iterations_per_kernel": self.schedule.iterations_per_kernel,
-            "net_size": self.net_size,
-            "n_transitions": self.n_transitions,
-            "bounds": {
-                "n": self.bounds.n,
-                "critical_cycle_count": self.bounds.critical_cycle_count,
-                "iteration_bound": self.bounds.iteration_bound,
-                "step_bound": self.bounds.step_bound,
-                "covers_all_transitions": self.bounds.covers_all_transitions,
-            },
-            "frustum": self.frustum.payload(),
-            "schedule": schedule_payload(self.schedule),
-        }
-        if self.pipeline_stages is not None:
-            raw["scp"] = {
-                "utilization": self.scp_utilization,
-                "frustum": (
-                    self.scp_frustum.payload()
-                    if self.scp_frustum is not None
-                    else None
-                ),
-                "schedule": (
-                    schedule_payload(self.scp_schedule)
-                    if self.scp_schedule is not None
-                    else None
-                ),
-            }
-        return normalize_payload(raw)
+    def __init__(self, payload: Dict[str, Any]) -> None:
+        """Internal: build views with :meth:`from_payload`, which checks
+        the payload's schema version first."""
+        self._payload = payload
 
     @classmethod
-    def from_payload(cls, data: Mapping[str, Any]) -> "CompiledLoopSummary":
-        """Rehydrate a summary from a :meth:`payload` dict (e.g. a
-        compile-cache entry) without re-simulating anything.
+    def from_payload(cls, data: Dict[str, Any]) -> "CompiledLoopSummary":
+        """The view of a payload dict (e.g. a compile-cache entry),
+        without re-simulating anything.
 
         Payloads from schema version 1 (pre-unrolling builds carry no
-        ``payload_schema`` field at all) load with ``unroll = 1``
+        ``payload_schema`` field at all) read with ``unroll = 1``
         defaults; payloads newer than this reader are refused — their
         unknown fields could change the meaning of the known ones.
         """
@@ -251,59 +182,100 @@ class CompiledLoopSummary:
                 f"newer than this reader ({PAYLOAD_SCHEMA_VERSION}); "
                 "upgrade before loading it"
             )
-        bounds = data["bounds"]
-        scp = data.get("scp")
-        stages = data.get("pipeline_stages")
-        achieved = data.get("achieved_rate")
-        dependence = data.get("dependence_bound")
-        return cls(
-            unroll=int(data.get("unroll", 1)),
-            achieved_rate=(
-                fraction_from(achieved) if achieved is not None else None
-            ),
-            dependence_bound=(
-                fraction_from(dependence) if dependence is not None else None
-            ),
-            loop=str(data["loop"]),
-            engine=str(data["engine"]),
-            include_io=bool(data["include_io"]),
-            pipeline_stages=int(stages) if stages is not None else None,
-            rate=fraction_from(data["rate"]),
-            bounds=TheoreticalBounds(
-                n=int(bounds["n"]),
-                critical_cycle_count=int(bounds["critical_cycle_count"]),
-                iteration_bound=int(bounds["iteration_bound"]),
-                step_bound=int(bounds["step_bound"]),
-                covers_all_transitions=bool(bounds["covers_all_transitions"]),
-            ),
-            net_size=int(data["net_size"]),
-            n_transitions=int(data["n_transitions"]),
-            frustum=FrustumSummary.from_payload(data["frustum"]),
-            schedule=schedule_from_payload(data["schedule"]),
-            scp_utilization=(
-                fraction_from(scp["utilization"])
-                if scp is not None and scp.get("utilization") is not None
-                else None
-            ),
-            scp_frustum=(
-                FrustumSummary.from_payload(scp["frustum"])
-                if scp is not None and scp.get("frustum") is not None
-                else None
-            ),
-            scp_schedule=(
-                schedule_from_payload(scp["schedule"])
-                if scp is not None and scp.get("schedule") is not None
-                else None
-            ),
-        )
+        return cls(data)
+
+    def payload(self) -> Dict[str, Any]:
+        """The payload this view parses — the dict itself."""
+        return self._payload
+
+    @property
+    def loop(self) -> str:
+        return self._payload["loop"]
+
+    @property
+    def engine(self) -> str:
+        return self._payload["engine"]
+
+    @property
+    def include_io(self) -> bool:
+        return self._payload["include_io"]
+
+    @property
+    def pipeline_stages(self) -> Optional[int]:
+        return self._payload.get("pipeline_stages")
+
+    @property
+    def unroll(self) -> int:
+        return self._payload.get("unroll", 1)
+
+    @property
+    def net_size(self) -> int:
+        return self._payload["net_size"]
+
+    @property
+    def n_transitions(self) -> int:
+        return self._payload["n_transitions"]
+
+    @property
+    def rate(self) -> Fraction:
+        return fraction_from(self._payload["rate"])
+
+    @property
+    def optimal_rate(self) -> Fraction:
+        """Alias matching :attr:`CompiledLoop.optimal_rate`."""
+        return self.rate
+
+    @property
+    def cycle_time(self) -> Fraction:
+        return fraction_from(self._payload["cycle_time"])
+
+    @property
+    def achieved_rate(self) -> Optional[Fraction]:
+        return _optional_fraction(self._payload.get("achieved_rate"))
+
+    @property
+    def dependence_bound(self) -> Optional[Fraction]:
+        return _optional_fraction(self._payload.get("dependence_bound"))
+
+    @cached_property
+    def bounds(self) -> TheoreticalBounds:
+        return TheoreticalBounds(**self._payload["bounds"])
+
+    @cached_property
+    def frustum(self) -> FrustumSummary:
+        return FrustumSummary.from_payload(self._payload["frustum"])
+
+    @cached_property
+    def schedule(self) -> PipelinedSchedule:
+        return schedule_from_payload(self._payload["schedule"])
+
+    @property
+    def scp_utilization(self) -> Optional[Fraction]:
+        return _optional_fraction(self._scp.get("utilization"))
+
+    @cached_property
+    def scp_frustum(self) -> Optional[FrustumSummary]:
+        data = self._scp.get("frustum")
+        return FrustumSummary.from_payload(data) if data is not None else None
+
+    @cached_property
+    def scp_schedule(self) -> Optional[PipelinedSchedule]:
+        data = self._scp.get("schedule")
+        return schedule_from_payload(data) if data is not None else None
+
+    @property
+    def _scp(self) -> Mapping[str, Any]:
+        return self._payload.get("scp") or {}
 
 
 @dataclass
 class CompiledLoop:
-    """Every artifact of one compilation.
+    """Every artifact of one compilation, and its payload.
 
-    ``scp``/``scp_frustum``/``scp_schedule`` are None unless a pipeline
-    depth was requested.
+    ``payload`` is the deterministic dict the ``summarize`` stage
+    merged for this compile (the bytes ``repro compile`` prints);
+    :meth:`summary` parses it.  ``scp``/``scp_frustum``/``scp_schedule``
+    are None unless a pipeline depth was requested.
     """
 
     translation: TranslationResult
@@ -312,9 +284,10 @@ class CompiledLoop:
     behavior: BehaviorGraph
     schedule: PipelinedSchedule
     bounds: TheoreticalBounds
+    rate: Fraction
+    payload: Dict[str, Any]
     engine: str = "event"
     include_io: bool = True
-    rate: Optional[Fraction] = None
     scp: Optional[SdspScpNet] = None
     scp_frustum: Optional[CyclicFrustum] = None
     scp_behavior: Optional[BehaviorGraph] = None
@@ -322,22 +295,12 @@ class CompiledLoop:
     unroll: int = 1
     achieved_rate: Optional[Fraction] = None
     dependence_bound: Optional[Fraction] = None
-    #: The summary the ``summarize`` stage assembled for this compile.
-    summarized: Optional[CompiledLoopSummary] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def optimal_rate(self) -> Fraction:
-        """The time-optimal computation rate the ideal model achieves.
-
-        :func:`repro.pipeline.compile_loop` computes this exactly once
-        (Howard, in the ``rate`` stage) and stores it in :attr:`rate`;
-        the property only falls back to recomputing for hand-assembled
-        instances that never set the field.
-        """
-        if self.rate is None:
-            self.rate = optimal_rate(self.pn)
+        """Alias of :attr:`rate`: the time-optimal computation rate the
+        ideal model achieves (Howard, computed once in the ``rate``
+        stage)."""
         return self.rate
 
     @property
@@ -347,30 +310,6 @@ class CompiledLoop:
         return pipeline_utilization(self.scp, self.scp_frustum)
 
     def summary(self) -> CompiledLoopSummary:
-        """The deterministic, serialisable projection of this result —
-        what the compile cache stores and ``repro sweep`` merges (for a
-        compile, the one its ``summarize`` stage assembled)."""
-        if self.summarized is not None:
-            return self.summarized
-        return CompiledLoopSummary(
-            loop=self.translation.loop.name,
-            engine=self.engine,
-            include_io=self.include_io,
-            pipeline_stages=self.scp.stages if self.scp is not None else None,
-            unroll=self.unroll,
-            achieved_rate=self.achieved_rate,
-            dependence_bound=self.dependence_bound,
-            rate=self.optimal_rate,
-            bounds=self.bounds,
-            net_size=self.pn.size,
-            n_transitions=len(self.pn.net.transition_names),
-            frustum=FrustumSummary.from_frustum(self.frustum),
-            schedule=self.schedule,
-            scp_utilization=self.scp_utilization,
-            scp_frustum=(
-                FrustumSummary.from_frustum(self.scp_frustum)
-                if self.scp_frustum is not None
-                else None
-            ),
-            scp_schedule=self.scp_schedule,
-        )
+        """The parsed view of :attr:`payload` — what the compile cache
+        stores and ``repro sweep`` merges."""
+        return CompiledLoopSummary.from_payload(self.payload)

@@ -19,7 +19,7 @@ stage               does                                            paper
 ``scp_simulate``    FIFO-policy behavior + frustum + utilization    §5.2
 ``scp_extract``     resource-constrained schedule                   §5.2
 ``scp_verify``      dependence/resource proof of the SCP schedule   §5.2
-``summarize``       assemble the deterministic payload              —
+``summarize``       merge the projections into the payload          —
 ==================  ==============================================  =======
 
 A stage's ``compute`` runs on live upstream objects obtained through
@@ -47,7 +47,7 @@ from typing import (
     Union,
 )
 
-from ..core.bounds import TheoreticalBounds, theoretical_bounds
+from ..core.bounds import theoretical_bounds
 from ..core.rate import (
     dependence_bound_rate,
     optimal_rate,
@@ -66,12 +66,13 @@ from ..loops.unroll import (
     unroll_graph,
 )
 from ..machine.policies import FifoRunPlacePolicy
+from ..obs.schema import normalize_value
 from ..petrinet.behavior import detect_frustum
 from .artifacts import graph_dump, loop_dump, net_dump
 from .result import (
-    CompiledLoopSummary,
-    FrustumSummary,
+    PAYLOAD_SCHEMA_VERSION,
     fraction_from,
+    frustum_payload,
     schedule_from_payload,
     schedule_payload,
 )
@@ -327,7 +328,7 @@ def _simulate(ctx: StageContext) -> StageOutput:
         engine=ctx.request.engine,
     )
     return StageOutput(
-        data={"frustum": FrustumSummary.from_frustum(frustum).payload()},
+        data={"frustum": frustum_payload(frustum)},
         live={"frustum": frustum, "behavior": behavior},
     )
 
@@ -417,7 +418,7 @@ def _scp_simulate(ctx: StageContext) -> StageOutput:
     )
     return StageOutput(
         data={
-            "frustum": FrustumSummary.from_frustum(frustum).payload(),
+            "frustum": frustum_payload(frustum),
             "utilization": str(pipeline_utilization(scp, frustum)),
         },
         live={"frustum": frustum, "behavior": behavior},
@@ -454,50 +455,47 @@ def _scp_verify(ctx: StageContext) -> StageOutput:
 
 
 def _summarize(ctx: StageContext) -> StageOutput:
+    """The payload: the upstream projections, merged.  They are JSON-ready
+    already; only the rationals are re-normalised (stages project them
+    as ``str(Fraction)``, the payload writes integral ones as ints)."""
     request = ctx.request
     rate_data = ctx.data("rate")
-    bounds = rate_data["bounds"]
-    achieved = fraction_from(rate_data["achieved_rate"])
-    bound = fraction_from(ctx.data("rate_analysis")["dependence_bound"])
-    factor = int(ctx.data("unroll")["factor"])
-    scp_utilization = scp_frustum = scp_schedule = None
+    rate = fraction_from(rate_data["rate"])
+    build_pn = ctx.data("build_pn")
+    schedule = ctx.data("extract_kernel")["schedule"]
+    payload = {
+        "payload_schema": PAYLOAD_SCHEMA_VERSION,
+        "loop": ctx.data("parse")["loop"],
+        "engine": request.engine,
+        "include_io": request.include_io,
+        "pipeline_stages": request.pipeline_stages,
+        "unroll": ctx.data("unroll")["factor"],
+        "achieved_rate": _rational(rate_data["achieved_rate"]),
+        "dependence_bound": _rational(
+            ctx.data("rate_analysis")["dependence_bound"]
+        ),
+        "rate": normalize_value(rate),
+        "cycle_time": normalize_value(1 / rate),
+        "initiation_interval": schedule["initiation_interval"],
+        "iterations_per_kernel": schedule["iterations_per_kernel"],
+        "net_size": build_pn["net_size"],
+        "n_transitions": build_pn["n_transitions"],
+        "bounds": rate_data["bounds"],
+        "frustum": ctx.data("simulate")["frustum"],
+        "schedule": schedule,
+    }
     if request.pipeline_stages is not None:
-        scp_data = ctx.data("scp_simulate")
-        scp_utilization = fraction_from(scp_data["utilization"])
-        scp_frustum = FrustumSummary.from_payload(scp_data["frustum"])
-        scp_schedule = schedule_from_payload(
-            ctx.data("scp_extract")["schedule"]
-        )
-    summary = CompiledLoopSummary(
-        loop=str(ctx.data("parse")["loop"]),
-        engine=request.engine,
-        include_io=request.include_io,
-        pipeline_stages=request.pipeline_stages,
-        unroll=factor,
-        achieved_rate=achieved,
-        dependence_bound=bound,
-        rate=fraction_from(rate_data["rate"]),
-        bounds=TheoreticalBounds(
-            n=int(bounds["n"]),
-            critical_cycle_count=int(bounds["critical_cycle_count"]),
-            iteration_bound=int(bounds["iteration_bound"]),
-            step_bound=int(bounds["step_bound"]),
-            covers_all_transitions=bool(bounds["covers_all_transitions"]),
-        ),
-        net_size=int(ctx.data("build_pn")["net_size"]),
-        n_transitions=int(ctx.data("build_pn")["n_transitions"]),
-        frustum=FrustumSummary.from_payload(ctx.data("simulate")["frustum"]),
-        schedule=schedule_from_payload(
-            ctx.data("extract_kernel")["schedule"]
-        ),
-        scp_utilization=scp_utilization,
-        scp_frustum=scp_frustum,
-        scp_schedule=scp_schedule,
-    )
-    return StageOutput(
-        data={"payload": summary.payload()},
-        live={"summary": summary},
-    )
+        scp = ctx.data("scp_simulate")
+        payload["scp"] = {
+            "utilization": _rational(scp["utilization"]),
+            "frustum": scp["frustum"],
+            "schedule": ctx.data("scp_extract")["schedule"],
+        }
+    return StageOutput(data={"payload": payload})
+
+
+def _rational(text: str) -> Union[int, str]:
+    return normalize_value(fraction_from(text))
 
 
 # ----------------------------------------------------------------------

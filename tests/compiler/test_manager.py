@@ -343,6 +343,34 @@ class TestStageTiming:
             ]
 
 
+class TestOnePayloadBuilder:
+    """``summarize`` merges the stage projections: a compile constructs
+    exactly the schedules ``extract_kernel`` / ``scp_extract`` derive,
+    and no second copy for the payload."""
+
+    @pytest.mark.parametrize("stages, derived", [(None, 1), (4, 2)])
+    def test_compile_builds_only_the_derived_schedules(
+        self, monkeypatch, tmp_path, stages, derived
+    ):
+        from repro.core.schedule import PipelinedSchedule
+        from repro.pipeline import compile_loop
+
+        built = []
+        post_init = PipelinedSchedule.__post_init__
+
+        def counting(schedule):
+            built.append(schedule)
+            post_init(schedule)
+
+        monkeypatch.setattr(PipelinedSchedule, "__post_init__", counting)
+        staged(L1_SOURCE, ArtifactStore(tmp_path), include_io=False,
+               pipeline_stages=stages)  # cold: every stage computes
+        assert len(built) == derived
+        built.clear()
+        compile_loop(L1_SOURCE, include_io=False, pipeline_stages=stages)
+        assert len(built) == derived
+
+
 class TestLazyKeys:
     def test_storeless_compiles_derive_no_keys_or_fingerprints(
         self, monkeypatch

@@ -27,6 +27,38 @@ do L2:
 """
 
 
+def assert_view_matches_live(summary, compiled):
+    """The parsed payload view (``CompiledLoopSummary``) agrees with the
+    live ``CompiledLoop`` objects of the compile that produced it."""
+    assert summary.loop == compiled.translation.loop.name
+    assert summary.engine == compiled.engine
+    assert summary.include_io == compiled.include_io
+    assert summary.net_size == compiled.pn.size
+    assert summary.n_transitions == len(compiled.pn.net.transition_names)
+    assert summary.rate == compiled.rate
+    assert summary.cycle_time == 1 / compiled.rate
+    assert summary.bounds == compiled.bounds
+    assert summary.unroll == compiled.unroll
+    assert summary.achieved_rate == compiled.achieved_rate
+    assert summary.dependence_bound == compiled.dependence_bound
+    assert summary.schedule == compiled.schedule
+    frusta = [(summary.frustum, compiled.frustum)]
+    if compiled.scp is None:
+        assert summary.scp_schedule is None
+    else:
+        assert summary.scp_schedule == compiled.scp_schedule
+        assert summary.scp_utilization == compiled.scp_utilization
+        frusta.append((summary.scp_frustum, compiled.scp_frustum))
+    for parsed, live in frusta:
+        assert parsed.start_time == live.start_time
+        assert parsed.repeat_time == live.repeat_time
+        assert parsed.length == live.length
+        assert parsed.firing_counts == dict(live.firing_counts)
+        assert list(parsed.schedule_steps) == [
+            (time, tuple(fired)) for time, fired in live.schedule_steps
+        ]
+
+
 @pytest.fixture
 def l1_loop():
     return parse_loop(L1_SOURCE)

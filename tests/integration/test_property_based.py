@@ -14,6 +14,7 @@ end to end:
   the loop's semantics against the reference evaluator.
 """
 
+import json
 from fractions import Fraction
 
 import networkx as nx
@@ -41,6 +42,7 @@ from repro.petrinet import (
     cycle_time_lawler,
     detect_frustum,
 )
+from tests.conftest import assert_view_matches_live
 
 OPS = ["+", "-", "*"]
 
@@ -203,8 +205,10 @@ class TestUnrollProperties:
     def test_unrolled_payload_round_trips_byte_identically(
         self, source, factor
     ):
-        payload = compile_loop(
-            source, include_io=False, unroll=factor
-        ).summary().payload()
-        rehydrated = CompiledLoopSummary.from_payload(payload)
+        compiled = compile_loop(source, include_io=False, unroll=factor)
+        payload = compiled.summary().payload()
+        rehydrated = CompiledLoopSummary.from_payload(
+            json.loads(stable_json(payload))
+        )
         assert stable_json(rehydrated.payload()) == stable_json(payload)
+        assert_view_matches_live(rehydrated, compiled)

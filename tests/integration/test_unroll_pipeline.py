@@ -1,6 +1,7 @@
 """Rate-optimal unrolling through ``compile_loop``: auto selection,
 exact-closure verification, and payload schema compatibility."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from repro import compile_loop
 from repro.errors import ReproError
 from repro.obs import stable_json
 from repro.pipeline import PAYLOAD_SCHEMA_VERSION, CompiledLoopSummary
-from tests.conftest import L1_SOURCE
+from tests.conftest import L1_SOURCE, assert_view_matches_live
 
 # two carried chains interleave: γ* = 2/3 (denominator > 1), but the
 # one-buffer-per-arc base net only reaches 1/3
@@ -109,9 +110,13 @@ class TestPayloadSchema:
         assert payload["dependence_bound"] == "2/3"
 
     def test_round_trip_is_byte_identical(self):
-        payload = self.summary(unroll=2).payload()
-        rehydrated = CompiledLoopSummary.from_payload(payload)
+        compiled = compile_loop(INTERLEAVE_SOURCE, include_io=False, unroll=2)
+        payload = compiled.summary().payload()
+        rehydrated = CompiledLoopSummary.from_payload(
+            json.loads(stable_json(payload))
+        )
         assert stable_json(rehydrated.payload()) == stable_json(payload)
+        assert_view_matches_live(rehydrated, compiled)
 
     def test_v1_payload_loads_with_defaults(self):
         """A ledger written before unrolling existed (no

@@ -521,6 +521,29 @@ class TestLedgerFlag:
         names = [r["name"] for r in load_records(ledger / "runs.jsonl")]
         assert names == ["schedule:L2", "analyze:L2"]
 
+    def test_schedule_and_compile_record_the_same_payload(
+        self, l2_file, tmp_path
+    ):
+        """Both read their ledger facts from the compile payload, so
+        ``schedule`` and a cold or warm ``compile`` record one payload;
+        the warm hit shows only among the volatile counters."""
+        from repro.obs import load_records
+
+        ledger, cache = str(tmp_path / "ledger"), str(tmp_path / "cache")
+        for argv in (
+            ["schedule", l2_file, "--abstract"],
+            ["compile", l2_file, "--abstract", "--cache-dir", cache],
+            ["compile", l2_file, "--abstract", "--cache-dir", cache],
+        ):
+            status, _ = run(argv + ["--ledger", ledger])
+            assert status == 0
+        schedule, cold, warm = load_records(
+            tmp_path / "ledger" / "runs.jsonl"
+        )
+        assert schedule["payload"] == cold["payload"] == warm["payload"]
+        assert cold["timing"]["metrics"]["stage.cache.miss.summarize"] == 1
+        assert warm["timing"]["metrics"]["stage.cache.hit.summarize"] == 1
+
     def test_ledger_flag_leaves_registry_disabled(self, l2_file, tmp_path):
         from repro.obs import default_registry
 
