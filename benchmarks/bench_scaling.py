@@ -14,14 +14,20 @@ families:
   pays for elapsed *time* while the event engine only pays for
   *events*.
 
+A second sweep runs the chain and recurrence bodies on a single clean
+pipeline of depth l ∈ {4, 8} (the SDSP-SCP-PN of §5.2) under
+:class:`~repro.machine.FifoRunPlacePolicy` — the run-place conflict,
+the FIFO queue in the state and the pipeline's dummy transitions are
+what make SCP detection the slowest simulation of a compile.
+
 Every size runs under both the step and the event engine; the payload
 records only facts the two engines are asserted to agree on (frustum
 boundaries, event counts), so the regression gate sees one
 engine-independent truth.  Per-engine wall clock goes into the
-volatile ``timing`` section as ``engine.step`` / ``engine.event``
-pseudo-phases, and the sparse family at the largest size must show the
-event engine at least 5× faster — the headline of the event-driven
-engine PR.
+volatile ``timing`` section as ``engine.step`` / ``engine.event`` and
+``scp.engine.step`` / ``scp.engine.event`` pseudo-phases, and the
+sparse family at the largest size must show the event engine at least
+5× faster — the headline of the event-driven engine PR.
 """
 
 from __future__ import annotations
@@ -32,8 +38,9 @@ from fractions import Fraction
 import pytest
 
 from benchmarks.conftest import phase_timings, save_artifact, save_json
-from repro.core import build_sdsp_pn
+from repro.core import build_sdsp_pn, build_sdsp_scp_pn
 from repro.loops import parse_loop, translate
+from repro.machine import FifoRunPlacePolicy
 from repro.petrinet import TimedPetriNet, detect_frustum
 from repro.report import render_table
 
@@ -47,6 +54,11 @@ FAMILIES = [
     ("sparse", True, SPARSE_TAU),
 ]
 SPEEDUP_FLOOR = 5.0  # sparse family, largest n: event vs step wall clock
+# SCP sweep: (family, loop-carried recurrence?) × sizes × pipeline depths,
+# small enough that the step engine keeps `make bench` short
+SCP_FAMILIES = [("chain", False), ("recurrence", True)]
+SCP_SIZES = [4, 8, 16, 32]
+SCP_STAGES = [4, 8]
 
 
 def chain_source(n: int, recurrence: bool) -> str:
@@ -69,15 +81,18 @@ def build(n: int, recurrence: bool, tau: int = 1):
     return pn, timed
 
 
-def detect_both(pn, timed):
+def detect_both(pn, timed, policy_factory=None):
     """Frustum facts (asserted identical across engines), per-engine
     behavior-step counts, and per-engine wall clock."""
     facts = {}
     steps = {}
     wall = {}
     for engine in ENGINES:
+        policy = policy_factory() if policy_factory is not None else None
         started = time.perf_counter()
-        frustum, behavior = detect_frustum(timed, pn.initial, engine=engine)
+        frustum, behavior = detect_frustum(
+            timed, pn.initial, policy, engine=engine
+        )
         wall[engine] = time.perf_counter() - started
         facts[engine] = (
             frustum.start_time,
@@ -87,9 +102,57 @@ def detect_both(pn, timed):
             frustum.schedule_steps,
             tuple(sorted(frustum.firing_counts.items())),
         )
-        steps[engine] = len(behavior.steps)
+        steps[engine] = len(behavior.firings())
     assert facts["step"] == facts["event"], "engines disagree on the frustum"
     return facts["step"], steps, wall
+
+
+def scp_rows():
+    """One row per (family, n, depth) of the SCP sweep, with the
+    per-engine wall clock of each."""
+    rows = []
+    walls = {}
+    for family, recurrence in SCP_FAMILIES:
+        for n in SCP_SIZES:
+            pn, _ = build(n, recurrence)
+            for stages in SCP_STAGES:
+                scp = build_sdsp_scp_pn(pn, stages)
+                (start, repeat, length, _, _, _), steps, wall = detect_both(
+                    scp,
+                    scp.timed,
+                    lambda: FifoRunPlacePolicy(
+                        scp.net, scp.run_place, scp.priority_order()
+                    ),
+                )
+                walls[(family, n, stages)] = wall
+                rows.append(
+                    [
+                        family,
+                        n,
+                        stages,
+                        len(scp.net.transition_names),
+                        start,
+                        repeat,
+                        length,
+                        steps["step"],
+                        steps["event"],
+                    ]
+                )
+    return rows, walls
+
+
+def engine_phases(walls, prefix=""):
+    """Per-engine wall-clock totals as ``<prefix>engine.<name>``
+    pseudo-phases for the volatile ``timing`` section."""
+    phases = {}
+    for engine in ENGINES:
+        totals = [wall[engine] for wall in walls.values()]
+        phases[f"{prefix}engine.{engine}"] = {
+            "count": len(totals),
+            "total": sum(totals),
+            "mean": sum(totals) / len(totals),
+        }
+    return phases
 
 
 def scaling_rows():
@@ -118,6 +181,7 @@ def scaling_rows():
 def test_scaling_report(benchmark, phase_registry):
     benchmark.group = "reports"
     rows, walls = benchmark.pedantic(scaling_rows, rounds=1, iterations=1)
+    scp, scp_walls = scp_rows()
     text = render_table(
         [
             "family",
@@ -132,20 +196,27 @@ def test_scaling_report(benchmark, phase_registry):
         rows,
         title="Detection-time scaling (paper: O(n) in practice; both engines)",
     )
-    save_artifact("scaling_detection.txt", text)
+    scp_text = render_table(
+        [
+            "family",
+            "n",
+            "l",
+            "transitions",
+            "start",
+            "repeat",
+            "frustum len",
+            "step ticks",
+            "events",
+        ],
+        scp,
+        title="SCP detection under the FIFO policy (both engines)",
+    )
+    save_artifact("scaling_detection.txt", text + "\n\n" + scp_text)
 
     # Per-engine wall clock is machine-dependent → volatile timing
     # section, as engine.<name> pseudo-phases next to the library's own
     # @timed phases.  The payload stays engine-independent by
     # construction (detect_both asserts the engines agree).
-    engine_phases = {}
-    for engine in ENGINES:
-        totals = [wall[engine] for wall in walls.values()]
-        engine_phases[f"engine.{engine}"] = {
-            "count": len(totals),
-            "total": sum(totals),
-            "mean": sum(totals) / len(totals),
-        }
     save_json(
         "scaling_detection.json",
         {
@@ -167,8 +238,29 @@ def test_scaling_report(benchmark, phase_registry):
                 for family, n, start, repeat, length, ratio,
                     step_ticks, event_steps in rows
             ],
+            "scp_sizes": SCP_SIZES,
+            "scp_stages": SCP_STAGES,
+            "scp_rows": [
+                {
+                    "family": family,
+                    "n": n,
+                    "stages": stages,
+                    "transitions": transitions,
+                    "transient": start,
+                    "repeat_time": repeat,
+                    "frustum_length": length,
+                    "step_ticks": step_ticks,
+                    "event_steps": event_steps,
+                }
+                for family, n, stages, transitions, start, repeat, length,
+                    step_ticks, event_steps in scp
+            ],
         },
-        phases={**engine_phases, **phase_timings(phase_registry)},
+        phases={
+            **engine_phases(walls),
+            **engine_phases(scp_walls, prefix="scp."),
+            **phase_timings(phase_registry),
+        },
     )
 
     # Linear scaling: steps/n bounded by a small constant everywhere
@@ -183,6 +275,7 @@ def test_scaling_report(benchmark, phase_registry):
     # The event engine never takes more steps than the stepper, and on
     # the sparse family it must skip the overwhelming majority of ticks.
     assert all(row[7] <= row[6] for row in rows)
+    assert all(row[8] <= row[7] for row in scp)
     sparse_rows = [row for row in rows if row[0] == "sparse"]
     assert all(row[7] * 8 <= row[6] for row in sparse_rows)
 

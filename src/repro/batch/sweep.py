@@ -352,7 +352,7 @@ def pool_worker_init(
 
 
 def compile_item_task(
-    task: Tuple[int, SweepItem, Optional[str]]
+    task: Tuple[int, SweepItem, Optional[str], bool]
 ) -> Dict[str, Any]:
     """Worker: compile (or rehydrate) one item.  Never raises for
     per-item failures — those become structured error dicts — so one
@@ -361,9 +361,13 @@ def compile_item_task(
     This is the module-level (hence picklable) unit of work shared by
     the sweep pool, the serial in-process path, and ``repro serve``'s
     long-lived compilation pool; ``task`` is ``(manifest index,
-    SweepItem, cache directory or None)``.
+    SweepItem, cache directory or None, lookup)``.  ``lookup`` says
+    whether to read the whole-payload entry before compiling: the sweep
+    and ``repro compile`` pass True; ``repro serve`` passes False for a
+    single compile, having read that entry in-process already, so a
+    served miss reads it once.  A compile stores its payload either way.
     """
-    index, item, cache_dir = task
+    index, item, cache_dir, lookup = task
     tracer = _WORKER_TRACER if _WORKER_TRACER is not None else NULL_TRACER
     registry = MetricsRegistry()  # process-local; merged by the parent
     cache = (
@@ -378,7 +382,7 @@ def compile_item_task(
     stage_outcomes: Optional[Dict[str, str]] = None
     started = perf_counter()
     with tracer.span(f"item:{item.name}", item=item.name, index=index):
-        if cache is not None:
+        if cache is not None and lookup:
             with tracer.span("cache.lookup"):
                 payload = cache.load(key)
             cache_hit = payload is not None
@@ -418,7 +422,7 @@ def compile_item_task(
         "payload": payload,
         "error": error,
         "cache_hit": cache_hit,
-        "cache_lookup": cache is not None,
+        "cache_lookup": cache is not None and lookup,
         "key": key,
         "wall": wall,
         "worker": tracer.worker if tracer.enabled else f"worker-{os.getpid()}",
@@ -475,6 +479,7 @@ def compile_one(
         0,
         _as_item(item, 0),
         str(cache_dir) if cache_dir is not None else None,
+        True,
     )
     result = item_result_from_entry(compile_item_task(task))
     registry = default_registry()
@@ -552,7 +557,8 @@ def compile_many(
         raise ReproError("a traced parallel sweep needs a shard_dir")
     sweep_items = [_as_item(entry, index) for index, entry in enumerate(items)]
     tasks = [
-        (index, item, directory) for index, item in enumerate(sweep_items)
+        (index, item, directory, True)
+        for index, item in enumerate(sweep_items)
     ]
 
     raw: List[Dict[str, Any]] = []

@@ -225,9 +225,7 @@ def derive_schedule(
     """
     if instructions is None:
         keep: Set[str] = set(frustum.firing_counts)
-        for _time, fired in (
-            step_pair for step_pair in _all_steps(behavior)
-        ):
+        for _time, fired in behavior.firings():
             keep.update(fired)
     else:
         keep = set(instructions)
@@ -248,7 +246,7 @@ def derive_schedule(
     cumulative: Dict[str, int] = {name: 0 for name in keep}
     prologue: List[ScheduledOp] = []
     kernel: List[Tuple[int, str, int]] = []
-    for time, fired in _all_steps(behavior):
+    for time, fired in behavior.firings():
         for name in fired:
             if name not in keep:
                 continue
@@ -268,6 +266,3 @@ def derive_schedule(
         instructions=tuple(sorted(keep)),
     )
 
-
-def _all_steps(behavior: BehaviorGraph) -> List[Tuple[int, Tuple[str, ...]]]:
-    return [(step.time, step.fired) for step in behavior.steps]

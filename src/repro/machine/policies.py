@@ -17,24 +17,27 @@ steady-state rate.
 
 Both policies work unchanged under either simulation engine.  The
 step engine calls :meth:`~repro.petrinet.simulator
-.ConflictResolutionPolicy.begin_step` every tick; the event engine
-only at event instants — sound because on a quiet tick nothing has
-completed or fired, so ``FifoRunPlacePolicy.begin_step`` would find no
-new data-ready transition to enqueue (the idle set and marking only
-change at events) and ``StaticPriorityPolicy`` keeps no state at all.
-Both engines offer candidates to :meth:`order` under the same
-greedy-with-recheck protocol, in the same adjacency-list order, so the
-conflict decisions — and hence the frustum — are bit-identical.  See
-the event-engine contract on
+.ConflictResolutionPolicy.begin_step` every tick with every idle
+transition; the event engine only at event instants, with only the
+idle transitions that became data-ready there (``FifoRunPlacePolicy``
+names its run place in ``resource_places``, so the engine counts each
+transition's empty *data* places).  That is sound because a
+transition becomes data-ready only when it completes or a data place
+of it is filled, both of which happen only at events, and
+``begin_step`` examines only the transitions it is offered;
+``StaticPriorityPolicy`` keeps no state at all.  Both engines offer
+candidates to :meth:`order` under the same greedy-with-recheck
+protocol, in the same adjacency-list order, so the conflict decisions
+— and hence the frustum — are bit-identical.  See the event-engine
+contract on
 :meth:`repro.petrinet.simulator.ConflictResolutionPolicy.begin_step`
 before writing a new policy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
-from ..petrinet.marking import Marking
 from ..petrinet.net import PetriNet
 from ..petrinet.simulator import ConflictResolutionPolicy
 
@@ -64,38 +67,51 @@ class FifoRunPlacePolicy(ConflictResolutionPolicy):
     ) -> None:
         self._net = net
         self._run_place = run_place
-        self._priority = list(priority_order)
-        self._priority_set = set(priority_order)
+        self.resource_places = (run_place,)
+        self._rank: Dict[str, int] = {
+            t: i for i, t in enumerate(priority_order)
+        }
         self._data_inputs: Dict[str, Tuple[str, ...]] = {
             t: tuple(p for p in net.input_places(t) if p != run_place)
             for t in priority_order
         }
         self._queue: List[str] = []
+        self._queued: Set[str] = set()
 
     def reset(self) -> None:
         self._queue = []
+        self._queued = set()
 
-    def begin_step(self, time: int, marking: Marking, idle: Sequence[str]) -> None:
-        idle_set = set(idle)
-        queued = set(self._queue)
-        for transition in self._priority:
-            if transition in queued or transition not in idle_set:
-                continue
-            if all(marking[p] > 0 for p in self._data_inputs[transition]):
-                self._queue.append(transition)
+    def begin_step(
+        self, time: int, marking: Mapping[str, int], idle: Sequence[str]
+    ) -> None:
+        # Only the offered idle transitions are examined, so the cost
+        # follows the offer: every idle transition under the step
+        # engine, the newly data-ready ones under the event engine.
+        data_inputs = self._data_inputs
+        queued = self._queued
+        ready = [
+            t
+            for t in idle
+            if t in data_inputs
+            and t not in queued
+            and all(marking[p] > 0 for p in data_inputs[t])
+        ]
+        if ready:
+            ready.sort(key=self._rank.__getitem__)
+            self._queue.extend(ready)
+            queued.update(ready)
 
     def order(self, candidates: Sequence[str]) -> List[str]:
         candidate_set = set(candidates)
         queued = [t for t in self._queue if t in candidate_set]
-        others = [t for t in candidates if t not in self._priority_set]
+        others = [t for t in candidates if t not in self._rank]
         return queued + others
 
     def notify_fired(self, transition: str) -> None:
-        if transition in self._priority_set:
-            try:
-                self._queue.remove(transition)
-            except ValueError:
-                pass
+        if transition in self._queued:
+            self._queue.remove(transition)
+            self._queued.discard(transition)
 
     def state_key(self) -> Tuple:
         return tuple(self._queue)

@@ -66,7 +66,7 @@ class FiringStarted(Event):
     time it was deposited, and the transition whose completion
     deposited it (``""`` for tokens of the initial marking).  Tokens
     are matched FIFO per place, exactly like
-    :class:`repro.petrinet.behavior.BehaviorRecorder`, so these triples
+    :class:`repro.petrinet.behavior.BehaviorGraph`'s arcs, so these triples
     are the edges of the enabling DAG
     (:mod:`repro.obs.causality`).  Both simulation engines fill it
     whenever instrumentation is attached; it is ``None`` only for

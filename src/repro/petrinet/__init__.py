@@ -29,9 +29,8 @@ _EXPORTS = {
     ),
     "event_sim": ("EventDrivenSimulator", "EventFrustumDetector"),
     "behavior": (
-        "BehaviorGraph", "BehaviorRecorder", "BehaviorStep", "CyclicFrustum",
-        "FrustumDetector", "PlaceInstance", "TransitionInstance",
-        "detect_frustum",
+        "BehaviorGraph", "BehaviorStep", "CyclicFrustum", "FrustumDetector",
+        "PlaceInstance", "TransitionInstance", "detect_frustum",
     ),
     "howard": ("HowardResult", "cycle_time_howard", "howard_analysis"),
     "analysis": (

@@ -11,15 +11,24 @@ behavior graph of an SDSP-PN is unique and eventually repeats an
 *instantaneous state*; the segment between two consecutive occurrences
 of a repeated state is the **cyclic frustum** (Definition 3.3.1), from
 which the steady-state equivalent net and a time-optimal schedule are
-derived.  Detection is a hash-map lookup per step, so finding the
-frustum costs O(detected time × net size).
+derived.  Detection is a hash-map lookup per snapshot.  The step
+engine snapshots every tick and builds a :class:`Marking` for each, so
+finding the frustum costs O(detected time × net size) interpreted
+work; the event engine (:mod:`repro.petrinet.event_sim`) snapshots
+only event instants and keys each by a copy of its token vector, so it
+costs O(events × net size), the net-size factor being one C-level
+tuple copy and hash per event.
+
+A :class:`BehaviorGraph` records only the trace eagerly — time,
+completed and fired transitions, and a state source per level — and
+builds its steps and consumption/production arcs when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..obs.events import FrustumDetected, Instrumentation
@@ -37,7 +46,6 @@ __all__ = [
     "TransitionInstance",
     "BehaviorStep",
     "BehaviorGraph",
-    "BehaviorRecorder",
     "CyclicFrustum",
     "FrustumDetector",
     "detect_frustum",
@@ -71,7 +79,6 @@ class BehaviorStep:
     state: InstantaneousState
 
 
-@dataclass
 class BehaviorGraph:
     """The recorded trace: levels plus consumption/production arcs.
 
@@ -80,20 +87,111 @@ class BehaviorGraph:
     place instances it created.  Tokens are matched FIFO per place,
     which is exact for safe nets (at most one token is ever pending per
     place) and a faithful queueing interpretation otherwise.
+
+    Recording is O(1) per level: :meth:`record` keeps the level's time,
+    its completed and fired transitions, and a *state source* — the
+    :class:`~repro.petrinet.timed.InstantaneousState` itself, or an
+    engine's compact state key that ``state_of`` turns into one.
+    :attr:`steps`, :attr:`consumptions` and :attr:`productions` are
+    built from that trace when first read (and extended if recording
+    continues), so a compile, which only reads :meth:`firings`, never
+    builds a per-level state or arc.
     """
 
-    steps: List[BehaviorStep] = field(default_factory=list)
-    consumptions: Dict[TransitionInstance, Tuple[PlaceInstance, ...]] = field(
-        default_factory=dict
-    )
-    productions: Dict[TransitionInstance, Tuple[PlaceInstance, ...]] = field(
-        default_factory=dict
-    )
+    def __init__(
+        self,
+        timed_net: TimedPetriNet,
+        initial: Marking,
+        record_arcs: bool = True,
+        state_of: Optional[Callable[[Any], InstantaneousState]] = None,
+    ) -> None:
+        self._timed_net = timed_net
+        self._initial = initial
+        self.record_arcs = record_arcs
+        self._state_of = state_of
+        self._trace: List[Tuple[int, Tuple[str, ...], Tuple[str, ...], Any]] = []
+        self._steps: List[BehaviorStep] = []
+        self._consumptions: Dict[TransitionInstance, Tuple[PlaceInstance, ...]] = {}
+        self._productions: Dict[TransitionInstance, Tuple[PlaceInstance, ...]] = {}
+        # FIFO queues of pending token birth times, per place; created
+        # on the first build.
+        self._pending: Optional[Dict[str, List[int]]] = None
+
+    def record(
+        self,
+        time: int,
+        completed: Tuple[str, ...],
+        fired: Tuple[str, ...],
+        state: Any,
+    ) -> None:
+        """Append one level; ``state`` is an instantaneous state or,
+        when the graph has a ``state_of``, the key it is built from."""
+        self._trace.append((time, completed, fired, state))
+
+    @property
+    def steps(self) -> List[BehaviorStep]:
+        self._build()
+        return self._steps
+
+    @property
+    def consumptions(self) -> Dict[TransitionInstance, Tuple[PlaceInstance, ...]]:
+        self._build()
+        return self._consumptions
+
+    @property
+    def productions(self) -> Dict[TransitionInstance, Tuple[PlaceInstance, ...]]:
+        self._build()
+        return self._productions
+
+    def _build(self) -> None:
+        """Build the levels and arcs the trace holds beyond those
+        already built."""
+        if len(self._steps) == len(self._trace):
+            return
+        net = self._timed_net.net
+        durations = self._timed_net.durations
+        if self._pending is None:
+            self._pending = {p: [0] * self._initial[p] for p in net.place_names}
+        pending = self._pending
+        state_of = self._state_of
+        for time, completed, fired, state in self._trace[len(self._steps):]:
+            newly_marked: List[str] = []
+            for transition in completed:
+                instance = TransitionInstance(transition, time - durations[transition])
+                produced = []
+                for place in net.output_places(transition):
+                    pending[place].append(time)
+                    produced.append(PlaceInstance(place, time))
+                    newly_marked.append(place)
+                if self.record_arcs:
+                    self._productions[instance] = tuple(produced)
+            for transition in fired:
+                consumed = tuple(
+                    PlaceInstance(place, pending[place].pop(0))
+                    for place in net.input_places(transition)
+                )
+                if self.record_arcs:
+                    self._consumptions[TransitionInstance(transition, time)] = consumed
+            self._steps.append(
+                BehaviorStep(
+                    time,
+                    fired,
+                    tuple(newly_marked),
+                    state if state_of is None else state_of(state),
+                )
+            )
+
+    def firings(self) -> List[Tuple[int, Tuple[str, ...]]]:
+        """``(time, fired)`` for every recorded level, read off the
+        trace without building a step."""
+        return [(time, fired) for time, _completed, fired, _state in self._trace]
 
     def fired_between(self, start: int, stop: int) -> List[Tuple[int, Tuple[str, ...]]]:
         """``(time, fired)`` pairs for steps with ``start <= time < stop``."""
         return [
-            (s.time, s.fired) for s in self.steps if start <= s.time < stop
+            (time, fired)
+            for time, _completed, fired, _state in self._trace
+            if start <= time < stop
         ]
 
     def firing_counts(self, start: int, stop: int) -> Dict[str, int]:
@@ -170,55 +268,6 @@ class CyclicFrustum:
         return Fraction(self.transition_count(), self.length)
 
 
-class BehaviorRecorder:
-    """Incrementally builds a :class:`BehaviorGraph` from
-    :class:`StepRecord` objects — shared by the step and event frustum
-    detectors so both record identical consumption/production arcs."""
-
-    def __init__(
-        self,
-        timed_net: TimedPetriNet,
-        initial: Marking,
-        record_arcs: bool = True,
-    ) -> None:
-        self._timed_net = timed_net
-        self._net = timed_net.net
-        self.record_arcs = record_arcs
-        self.graph = BehaviorGraph()
-        # FIFO queues of pending token birth times, per place.
-        self._pending: Dict[str, List[int]] = {
-            p: [0] * initial[p] for p in timed_net.net.place_names
-        }
-
-    def record(self, record: StepRecord) -> None:
-        net = self._net
-        newly_marked: List[str] = []
-        for transition in record.completed:
-            duration = self._timed_net.duration(transition)
-            start = record.time - duration
-            instance = TransitionInstance(transition, start)
-            produced = []
-            for place in net.output_places(transition):
-                self._pending[place].append(record.time)
-                produced.append(PlaceInstance(place, record.time))
-                newly_marked.append(place)
-            if self.record_arcs:
-                self.graph.productions[instance] = tuple(produced)
-        for transition in record.fired:
-            instance = TransitionInstance(transition, record.time)
-            consumed = []
-            for place in net.input_places(transition):
-                birth = self._pending[place].pop(0)
-                consumed.append(PlaceInstance(place, birth))
-            if self.record_arcs:
-                self.graph.consumptions[instance] = tuple(consumed)
-        self.graph.steps.append(
-            BehaviorStep(
-                record.time, record.fired, tuple(newly_marked), record.state
-            )
-        )
-
-
 class FrustumDetector:
     """Runs the earliest-firing simulation, records the behavior graph,
     and stops at the first repeated instantaneous state."""
@@ -238,15 +287,11 @@ class FrustumDetector:
             instrumentation if instrumentation else None
         )
         self.record_arcs = record_arcs
-        self._recorder = BehaviorRecorder(timed_net, initial, record_arcs)
+        self.graph = BehaviorGraph(timed_net, initial, record_arcs)
         self._seen: Dict[InstantaneousState, int] = {}
 
-    @property
-    def graph(self) -> BehaviorGraph:
-        return self._recorder.graph
-
     def _record_step(self, record: StepRecord) -> None:
-        self._recorder.record(record)
+        self.graph.record(record.time, record.completed, record.fired, record.state)
 
     def detect(self, max_steps: int) -> CyclicFrustum:
         """Advance until an instantaneous state repeats.

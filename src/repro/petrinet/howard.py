@@ -18,12 +18,17 @@ lever used by the max-plus scheduling literature, e.g. Zorzenon et al.
 :func:`repro.core.rate.optimal_rate` routes through it.
 
 The iteration maintains a *policy* — one outgoing edge per node — whose
-one-cycle-per-component functional graph is evaluated exactly
-(:class:`fractions.Fraction` arithmetic, no floats), then improved
-first by gain (reach a larger cycle ratio) and then by bias.  At
-convergence the optimality inequalities hold for **every** edge, which
-telescopes into a machine-checked proof that no cycle beats the answer,
-and the final policy graph contains a witness cycle attaining it.
+one-cycle-per-component functional graph is evaluated exactly, then
+improved first by gain (reach a larger cycle ratio) and then by bias.
+The arithmetic is exact and integer: a gain is a reduced
+``(numerator, denominator)`` pair, two gains are compared by
+cross-multiplying, and a node's value is kept scaled by its gain's
+denominator (values are only compared within one gain).  No float and
+no :class:`fractions.Fraction` enters the loop; one ``Fraction`` is
+built, for the answer.  At convergence the optimality inequalities hold
+for **every** edge, which telescopes into a machine-checked proof that
+no cycle beats the answer, and the final policy graph contains a
+witness cycle attaining it.
 
 >>> from repro.loops import parse_loop, translate
 >>> from repro.core import build_sdsp_pn
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..digraph import find_cycle
@@ -47,6 +53,10 @@ from ..errors import AnalysisError
 from .marked_graph import MarkedGraphView, SimpleCycle
 
 __all__ = ["HowardResult", "howard_analysis", "cycle_time_howard"]
+
+# A cycle ratio as a reduced ``(numerator, denominator)`` pair of ints,
+# denominator positive: equal ratios are equal pairs.
+_Gain = Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -131,17 +141,20 @@ def _require_live(view: MarkedGraphView) -> None:
 
 def _evaluate(
     nodes: Tuple[str, ...], policy: Dict[str, _Edge]
-) -> Tuple[Dict[str, Fraction], Dict[str, Fraction]]:
-    """Exact multichain policy evaluation.
+) -> Tuple[Dict[str, _Gain], Dict[str, int]]:
+    """Exact multichain policy evaluation, in integers.
 
     The policy graph is functional (one successor per node), so every
     node leads to exactly one cycle.  Each cycle gets gain
-    ``λ = Σ weight / Σ height``; values satisfy
-    ``v(u) = w(u) − λ·h(u) + v(next(u))`` with the cycle's first
-    discovered node anchored at 0.
+    ``λ = Σ weight / Σ height``, kept as a reduced ``(num, den)`` pair;
+    values satisfy ``v(u) = w(u) − λ·h(u) + v(next(u))`` with the
+    cycle's first discovered node anchored at 0, and are stored scaled
+    by ``den``: ``V(u) = w(u)·den − num·h(u) + V(next(u))``.  Values
+    are only ever compared between nodes of one gain, so the scaling
+    preserves every comparison.
     """
-    lam: Dict[str, Fraction] = {}
-    val: Dict[str, Fraction] = {}
+    lam: Dict[str, _Gain] = {}
+    val: Dict[str, int] = {}
     state: Dict[str, int] = {node: 0 for node in nodes}  # 0 new, 1 open, 2 done
     for start in nodes:
         if state[start] == 2:
@@ -164,15 +177,17 @@ def _evaluate(
                     + " -> ".join(cycle)
                     + " carries no token: the net is not live"
                 )
-            gain = Fraction(weight, height)
+            divisor = gcd(weight, height)
+            gain = (weight // divisor, height // divisor)
+            num, den = gain
             anchor = cycle[0]
             lam[anchor] = gain
-            val[anchor] = Fraction(0)
+            val[anchor] = 0
             state[anchor] = 2
             for u in reversed(cycle[1:]):
                 edge = policy[u]
                 lam[u] = gain
-                val[u] = edge.weight - gain * edge.height + val[edge.target]
+                val[u] = edge.weight * den - num * edge.height + val[edge.target]
                 state[u] = 2
         # Unwind the tail (and any prefix before the cycle): each node's
         # gain/value follow from its successor's.
@@ -180,8 +195,10 @@ def _evaluate(
             if state[u] == 2:
                 continue
             edge = policy[u]
-            lam[u] = lam[edge.target]
-            val[u] = edge.weight - lam[u] * edge.height + val[edge.target]
+            gain = lam[u] = lam[edge.target]
+            val[u] = (
+                edge.weight * gain[1] - gain[0] * edge.height + val[edge.target]
+            )
             state[u] = 2
     return lam, val
 
@@ -210,15 +227,17 @@ def howard_analysis(
                 f"{limit} rounds"
             )
         lam, val = _evaluate(nodes, policy)
-        # Gain improvement: move to a strictly larger reachable ratio.
+        # Gain improvement: move to a strictly larger reachable ratio
+        # (a/b > c/d  iff  a·d > c·b, denominators being positive).
         changed = False
         for u in nodes:
-            best = policy[u]
-            best_gain = lam[u]
+            best = None
+            best_num, best_den = lam[u]
             for edge in out_edges[u]:
-                if lam[edge.target] > best_gain:
-                    best, best_gain = edge, lam[edge.target]
-            if best_gain > lam[u]:
+                num, den = lam[edge.target]
+                if num * best_den > best_num * den:
+                    best, best_num, best_den = edge, num, den
+            if best is not None:
                 policy[u] = best
                 changed = True
         if changed:
@@ -226,12 +245,13 @@ def howard_analysis(
         # Bias improvement among equal-gain edges.
         for u in nodes:
             gain = lam[u]
+            num, den = gain
             best_val = val[u]
             best = None
             for edge in out_edges[u]:
                 if lam[edge.target] != gain:
                     continue
-                candidate = edge.weight - gain * edge.height + val[edge.target]
+                candidate = edge.weight * den - num * edge.height + val[edge.target]
                 if candidate > best_val:
                     best, best_val = edge, candidate
             if best is not None:
@@ -240,16 +260,21 @@ def howard_analysis(
         if not changed:
             break
 
-    alpha = max(lam.values())
+    alpha = lam[nodes[0]]
+    for gain in lam.values():
+        if gain[0] * alpha[1] > alpha[0] * gain[1]:
+            alpha = gain
     witness_cycle, witness_loop = _extract_witness(nodes, policy, lam, alpha)
-    return HowardResult(alpha, witness_cycle, witness_loop, iterations)
+    return HowardResult(
+        Fraction(*alpha), witness_cycle, witness_loop, iterations
+    )
 
 
 def _extract_witness(
     nodes: Tuple[str, ...],
     policy: Dict[str, _Edge],
-    lam: Dict[str, Fraction],
-    alpha: Fraction,
+    lam: Dict[str, _Gain],
+    alpha: _Gain,
 ) -> Tuple[Optional[SimpleCycle], Optional[str]]:
     """Walk the converged policy from the smallest-named optimal node to
     its cycle; that cycle's ratio equals its nodes' gain, i.e. alpha."""

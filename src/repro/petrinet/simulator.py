@@ -47,7 +47,7 @@ straight between completion instants — is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from ..obs.events import (
@@ -80,28 +80,53 @@ class ConflictResolutionPolicy:
     detection.
     """
 
+    #: Input places this policy's readiness test leaves out: the
+    #: shared resource it arbitrates (the SCP run place for
+    #: :class:`~repro.machine.policies.FifoRunPlacePolicy`).  Only the
+    #: event engine reads it; see :meth:`begin_step`.
+    resource_places: Tuple[str, ...] = ()
+
     def reset(self) -> None:
         """Forget all internal state (called when a simulation starts)."""
 
-    def begin_step(self, time: int, marking: Marking, idle: Sequence[str]) -> None:
+    def begin_step(
+        self, time: int, marking: Mapping[str, int], idle: Sequence[str]
+    ) -> None:
         """Observe the post-completion state of the net at ``time``.
-        ``idle`` lists transitions that are not currently in flight.
+        ``idle`` lists idle (not in-flight) transitions to examine, in
+        the net's declaration order; ``marking[place]`` reads a
+        place's token count.
+
+        The step engine offers every idle transition at every tick and
+        passes a :class:`Marking`.
 
         **Event-engine contract.**  The event-driven engine
         (:class:`repro.petrinet.event_sim.EventDrivenSimulator`) only
         calls this at *event* instants — times when a firing completes
-        or the net starts.  An override must therefore be a no-op on
-        quiet ticks: between events no transition completes and none
-        fires, so the marking and in-flight set it would observe are
-        unchanged from the previous event, and any state it would
-        accumulate from them is already accumulated.  Both shipped
+        or the net starts — and passes its live token vector (a
+        place → count mapping, read-only to the policy).  At time 0
+        ``idle`` holds every transition; after that only the idle
+        transitions that became *ready* at this event: those that
+        completed now, and those whose last empty input place outside
+        :attr:`resource_places` was filled now.  So an override must
+
+        * examine only what it is offered and treat every other idle
+          transition as unchanged since the last call, and
+        * be a no-op on quiet ticks: between events no transition
+          completes and none fires, so the marking and in-flight set it
+          would observe are unchanged from the previous event, and any
+          state it would accumulate from them is already accumulated.
+
+        A transition counts as ready once every input place outside
+        :attr:`resource_places` holds a token; a policy whose test
+        leaves out a shared place must name it there.  Both shipped
         policies satisfy this (:class:`FireAllPolicy` and
         :class:`~repro.machine.policies.StaticPriorityPolicy` do not
         override it; :class:`~repro.machine.policies.FifoRunPlacePolicy`
-        only reacts to newly data-ready transitions, which appear only
-        at events).  A policy that genuinely depends on wall-clock
-        ``time`` at quiet ticks would break step/event equivalence —
-        don't write one.
+        names its run place and only enqueues newly data-ready
+        transitions, which appear only at events).  A policy that
+        genuinely depends on wall-clock ``time`` at quiet ticks would
+        break step/event equivalence — don't write one.
         """
 
     def order(self, candidates: Sequence[str]) -> List[str]:
@@ -191,7 +216,7 @@ class EarliestFiringSimulator:
         # per place, a FIFO of (birth time, producing transition) for
         # every token currently on it ("" marks initial-marking tokens).
         # Deposits append, firings pop — the same FIFO matching as
-        # BehaviorRecorder, so FiringStarted.consumed agrees with the
+        # BehaviorGraph, so FiringStarted.consumed agrees with the
         # behavior graph's consumption arcs.
         self._births: Optional[Dict[str, List[Tuple[int, str]]]] = (
             {

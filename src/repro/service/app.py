@@ -58,7 +58,7 @@ from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..batch.cache import PAYLOAD_STAGE, CompileCache
+from ..batch.cache import CompileCache
 from ..batch.sweep import (
     compile_item_task,
     item_result_from_entry,
@@ -406,11 +406,12 @@ class CompileService:
     # ------------------------------------------------------------------
     # Pool work
     # ------------------------------------------------------------------
-    def _submit(self, index: int, item: Any) -> Future:
-        """Queue one compile task on the pool."""
+    def _submit(self, index: int, item: Any, lookup: bool) -> Future:
+        """Queue one compile task on the pool; ``lookup`` is False when
+        this process has already read the item's payload entry."""
         assert self._executor is not None, "CompileService.start() not called"
         return self._executor.submit(
-            compile_item_task, (index, item, self.config.cache_dir)
+            compile_item_task, (index, item, self.config.cache_dir, lookup)
         )
 
     async def _await_entry(
@@ -457,24 +458,10 @@ class CompileService:
                 # deadline — either way the result is dropped
                 self.registry.counter("service.requests.abandoned").inc()
 
-    def _record_entry(
-        self, entry: Mapping[str, Any], skip_lookup: bool
-    ) -> None:
+    def _record_entry(self, entry: Mapping[str, Any]) -> None:
         """Fold a worker's store counts and compile timer rows into the
-        service registry.
-
-        ``skip_lookup`` drops the worker's whole-payload hit/miss —
-        used when the service already performed (and counted) the
-        in-process lookup for the same request, so each is counted once.
-        """
-        counts = dict(entry["store_counts"] or {})
-        if skip_lookup and PAYLOAD_STAGE in counts:
-            counts[PAYLOAD_STAGE] = {
-                outcome: count
-                for outcome, count in counts[PAYLOAD_STAGE].items()
-                if outcome not in ("hit", "miss")
-            }
-        record_counts(self.registry, counts)
+        service registry."""
+        record_counts(self.registry, entry["store_counts"] or {})
         record_timings(self.registry, entry["timings"])
 
     # ------------------------------------------------------------------
@@ -634,10 +621,12 @@ class CompileService:
             if payload is not None:
                 cache_state.append("hit")
             else:
+                # the payload entry was read above: the worker only
+                # compiles and stores
                 entry = await self._await_entry(
-                    self._submit(0, item), deadline
+                    self._submit(0, item, lookup=False), deadline
                 )
-                self._record_entry(entry, skip_lookup=self.cache is not None)
+                self._record_entry(entry)
                 key = entry["key"]
                 if entry["status"] == "error":
                     raise WireError(
@@ -677,7 +666,8 @@ class CompileService:
         await self._admit(deadline)
         try:
             futures = [
-                self._submit(index, item) for index, item in enumerate(items)
+                self._submit(index, item, lookup=True)
+                for index, item in enumerate(items)
             ]
             entries: List[Dict[str, Any]] = []
             try:
@@ -687,7 +677,7 @@ class CompileService:
                 self._reap(*futures)
                 raise
             for entry in entries:
-                self._record_entry(entry, skip_lookup=False)
+                self._record_entry(entry)
         finally:
             self._release()
         entries.sort(key=lambda entry: entry["index"])  # manifest order

@@ -80,7 +80,7 @@ def post(service, path, payload):
 
 def entry_for(payload: dict) -> dict:
     """A real worker return value for resolving stalled futures."""
-    return compile_item_task((0, SweepItem.from_mapping(payload), None))
+    return compile_item_task((0, SweepItem.from_mapping(payload), None, True))
 
 
 def cli_stdout(argv, expect_status=0) -> str:
@@ -214,6 +214,40 @@ class TestCompileEndpoint:
         assert warm.headers["X-Cache"] == "hit"
         assert cold.headers["X-Compile-Key"] == warm.headers["X-Compile-Key"]
         assert cold.body == warm.body
+
+    def test_miss_reads_the_payload_entry_once(self, tmp_path, monkeypatch):
+        """The service reads the whole-payload entry in-process; on a
+        miss the pool task says so, and the worker compiles without
+        reading it again.  Headers and counters are those of one
+        lookup: one payload miss, one payload store."""
+        from repro.batch.cache import PAYLOAD_STAGE
+        from repro.compiler.store import ArtifactStore
+        from repro.service.wire import parse_compile_request
+
+        reads = []
+        original = ArtifactStore.load
+
+        def counting_load(self, stage, key):
+            reads.append((stage, key))
+            return original(self, stage, key)
+
+        monkeypatch.setattr(ArtifactStore, "load", counting_load)
+
+        async def scenario():
+            service = make_service(cache_dir=str(tmp_path / "cache"))
+            service.start()
+            return service, await post(service, "/v1/compile", GOOD)
+
+        service, response = run(scenario())
+        key = parse_compile_request(json.dumps(GOOD).encode()).cache_key()
+        assert response.status == 200
+        assert response.headers["X-Cache"] == "miss"
+        assert response.headers["X-Compile-Key"] == key
+        assert reads.count((PAYLOAD_STAGE, key)) == 1
+        counter = service.registry.counter
+        assert counter(f"stage.cache.miss.{PAYLOAD_STAGE}").value == 1
+        assert counter(f"stage.cache.hit.{PAYLOAD_STAGE}").value == 0
+        assert counter(f"stage.cache.store.{PAYLOAD_STAGE}").value == 1
 
     def test_compile_failure_is_422_with_detail(self):
         async def scenario():
