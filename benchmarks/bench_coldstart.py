@@ -12,7 +12,11 @@ Each probe runs in a fresh interpreter with ``src`` on the path.  The
 gates strictly, lists for ``import repro.pipeline`` and for a CLI
 compile the top-level packages the probe loads beyond the standard
 library and the interpreter's own start-up; it reads ``["repro"]``,
-and the gate fails hard if numpy, scipy or networkx come back.  The
+and the gate fails hard if numpy, scipy or networkx come back.  It
+also lists every ``repro`` module ``import repro.pipeline`` loads
+(unlike a count of standard-library modules, that list does not depend
+on the Python version), so a new import on the compile path fails the
+gate too, before it can add to every process's start-up.  The
 volatile ``timing`` section records the median import wall time over
 five interpreters, the ``-X importtime`` self time of the repro
 modules, the wall time of a fresh ``repro compile examples/l2.loop
@@ -54,6 +58,10 @@ print(json.dumps({{
     "packages": sorted(
         name for name in loaded - set(sys.stdlib_module_names)
         if not name.startswith("__")
+    ),
+    "repro_modules": sorted(
+        name for name in set(sys.modules) - before
+        if name.partition(".")[0] == "repro"
     ),
     "seconds": elapsed,
 }}))
@@ -116,6 +124,7 @@ def measure() -> dict:
     imports = [probe(IMPORT) for _ in range(REPEATS)]
     return {
         "import_packages": imports[0]["packages"],
+        "import_repro_modules": imports[0]["repro_modules"],
         "cli_packages": probe(CLI_COMPILE)["packages"],
         "walls": {
             "import_wall": statistics.median(p["seconds"] for p in imports),
@@ -142,6 +151,7 @@ def test_coldstart(benchmark):
         {
             "bench": "coldstart",
             "import_packages": run["import_packages"],
+            "import_repro_modules": run["import_repro_modules"],
             "cli_compile_packages": run["cli_packages"],
         },
         phases={

@@ -38,6 +38,7 @@ from fractions import Fraction
 import pytest
 
 from benchmarks.conftest import phase_timings, save_artifact, save_json
+from repro.batch.manifest import chain_source
 from repro.core import build_sdsp_pn, build_sdsp_scp_pn
 from repro.loops import parse_loop, translate
 from repro.machine import FifoRunPlacePolicy
@@ -59,15 +60,6 @@ SPEEDUP_FLOOR = 5.0  # sparse family, largest n: event vs step wall clock
 SCP_FAMILIES = [("chain", False), ("recurrence", True)]
 SCP_SIZES = [4, 8, 16, 32]
 SCP_STAGES = [4, 8]
-
-
-def chain_source(n: int, recurrence: bool) -> str:
-    lines = ["do chain:"]
-    first_rhs = "IN[i] + T{last}[i-1]".format(last=n - 1) if recurrence else "IN[i] + 1"
-    lines.append(f"  T0[i] = {first_rhs}")
-    for k in range(1, n):
-        lines.append(f"  T{k}[i] = T{k-1}[i] + IN[i]")
-    return "\n".join(lines)
 
 
 def build(n: int, recurrence: bool, tau: int = 1):

@@ -41,6 +41,7 @@ __all__ = [
     "CompiledLoop",
     "CompiledLoopSummary",
     "FrustumSummary",
+    "bounds_payload",
     "fraction_from",
     "frustum_payload",
     "schedule_payload",
@@ -54,6 +55,22 @@ __all__ = [
 #: rejected outright (a reader must never silently reinterpret fields
 #: it does not know about).
 PAYLOAD_SCHEMA_VERSION = 2
+
+
+def bounds_payload(bounds: TheoreticalBounds) -> Dict[str, Any]:
+    """The payload's ``bounds`` projection.  The capped flag appears
+    only on a capped count, so every payload below the budget keeps
+    the bytes it had before the count was budgeted."""
+    data: Dict[str, Any] = {
+        "n": bounds.n,
+        "critical_cycle_count": bounds.critical_cycle_count,
+        "iteration_bound": bounds.iteration_bound,
+        "step_bound": bounds.step_bound,
+        "covers_all_transitions": bounds.covers_all_transitions,
+    }
+    if bounds.critical_cycle_count_capped:
+        data["critical_cycle_count_capped"] = True
+    return data
 
 
 def fraction_from(value: Any) -> Fraction:

@@ -71,6 +71,7 @@ from ..petrinet.behavior import detect_frustum
 from .artifacts import graph_dump, loop_dump, net_dump
 from .result import (
     PAYLOAD_SCHEMA_VERSION,
+    bounds_payload,
     fraction_from,
     frustum_payload,
     schedule_from_payload,
@@ -365,13 +366,7 @@ def _rate(ctx: StageContext) -> StageOutput:
         data={
             "rate": str(rate),
             "achieved_rate": str(achieved),
-            "bounds": {
-                "n": bounds.n,
-                "critical_cycle_count": bounds.critical_cycle_count,
-                "iteration_bound": bounds.iteration_bound,
-                "step_bound": bounds.step_bound,
-                "covers_all_transitions": bounds.covers_all_transitions,
-            },
+            "bounds": bounds_payload(bounds),
         },
         live={"rate": rate, "achieved": achieved, "bounds": bounds},
     )

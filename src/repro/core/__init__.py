@@ -29,8 +29,9 @@ _EXPORTS = {
         "scp_rate_upper_bound",
     ),
     "bounds": (
-        "DetectionMeasurement", "TheoreticalBounds", "measure_detection",
-        "observed_bound_scp", "observed_bound_sdsp", "theoretical_bounds",
+        "CRITICAL_CYCLE_BUDGET", "DetectionMeasurement", "TheoreticalBounds",
+        "count_critical_cycles", "measure_detection", "observed_bound_scp",
+        "observed_bound_sdsp", "theoretical_bounds",
     ),
     "verify": (
         "VerificationReport", "execute_schedule", "verify_dependences",

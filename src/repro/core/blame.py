@@ -451,7 +451,6 @@ def explain_compiled(result, periods: int = 3) -> ExplainReport:
     resource waits — while the structural ``α`` still comes from the
     underlying SDSP-PN (the resource bound is reported separately).
     """
-    from ..petrinet.howard import howard_analysis
     from .rate import critical_cycles, scp_rate_upper_bound
 
     if result.scp is not None:
@@ -480,7 +479,7 @@ def explain_compiled(result, periods: int = 3) -> ExplainReport:
     wait = wait_profiles(dag, transitions=timed_net.net.transition_names)
 
     report = critical_cycles(result.pn)
-    howard = howard_analysis(result.pn.view(), result.pn.durations)
+    howard = result.pn.howard
     structural = tuple(c.transitions for c in report.critical_cycles)
     self_loops = tuple(report.critical_self_loops)
     observed_match = False

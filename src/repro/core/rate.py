@@ -22,15 +22,16 @@ Fraction(1, 1)
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING
 
 from ..errors import AnalysisError
 from ..obs.metrics import timed
-from ..petrinet.analysis import CriticalCycleReport, critical_cycle_report
 from ..petrinet.behavior import CyclicFrustum
-from ..petrinet.howard import cycle_time_howard
 from .scp import SdspScpNet
 from .sdsp_pn import SdspPetriNet, build_sdsp_pn
+
+if TYPE_CHECKING:  # the enumeration module stays off the compile path
+    from ..petrinet.analysis import CriticalCycleReport
 
 __all__ = [
     "optimal_rate",
@@ -45,16 +46,21 @@ __all__ = [
 
 @timed("core.critical_cycles")
 def critical_cycles(pn: SdspPetriNet) -> CriticalCycleReport:
-    """Full critical-cycle analysis of an SDSP-PN.
+    """Every critical cycle of an SDSP-PN, listed by enumeration.
 
-    The enumeration report (every critical cycle, for attribution and
-    the dashboard) is cross-checked against Howard's policy iteration —
-    two independent algorithms agreeing on the cycle time is a strong
-    internal consistency guarantee, and the check is near-linear so it
-    costs nothing next to the enumeration itself.
+    This is the listing ``repro analyze`` and ``repro explain`` print;
+    it enumerates every simple cycle of the net, so the compile path
+    never calls it (the bounds count critical cycles in Howard's
+    critical graph instead, :func:`repro.core.bounds.theoretical_bounds`).
+    The listing is cross-checked against the net's Howard result
+    (:attr:`~repro.core.sdsp_pn.SdspPetriNet.howard`, shared with the
+    compile) — two independent algorithms agreeing on the cycle time
+    is a strong internal consistency guarantee.
     """
+    from ..petrinet.analysis import critical_cycle_report
+
     report = critical_cycle_report(pn.view(), pn.durations)
-    alpha = cycle_time_howard(pn.view(), pn.durations)
+    alpha = pn.howard.cycle_time
     if alpha != report.cycle_time:
         raise AnalysisError(
             "cycle-time cross-check failed: Howard's policy iteration "
@@ -71,8 +77,10 @@ def optimal_rate(pn: SdspPetriNet) -> Fraction:
     Computed as ``1 / α`` with the cycle time ``α`` from Howard's
     policy iteration (:mod:`repro.petrinet.howard`) — exact
     :class:`~fractions.Fraction` arithmetic, near-linear practical
-    time, no cycle enumeration."""
-    return 1 / cycle_time_howard(pn.view(), pn.durations)
+    time, no cycle enumeration.  The run is kept on the net
+    (:attr:`~repro.core.sdsp_pn.SdspPetriNet.howard`), so the bounds
+    and ``repro explain`` read the same result."""
+    return 1 / pn.howard.cycle_time
 
 
 @timed("core.dependence_cycle_time")
@@ -98,7 +106,7 @@ def dependence_cycle_time(source, include_io: bool = True,
         include_acks=False,
         include_io=include_io,
     )
-    return cycle_time_howard(pn.view(), pn.durations)
+    return pn.howard.cycle_time
 
 
 def dependence_bound_rate(source, include_io: bool = True,

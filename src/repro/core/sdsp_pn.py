@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..dataflow.graph import DataArc, DataflowGraph
 from ..errors import NetConstructionError
+from ..petrinet import howard
 from ..petrinet.marked_graph import MarkedGraphView
 from ..petrinet.marking import Marking
 from ..petrinet.net import PetriNet
@@ -67,6 +69,15 @@ class SdspPetriNet:
     def view(self) -> MarkedGraphView:
         """Marked-graph analysis view (cycle enumeration etc.)."""
         return MarkedGraphView(self.net, self.initial)
+
+    @cached_property
+    def howard(self) -> howard.HowardResult:
+        """Howard's policy iteration on this net, run on first read and
+        kept: the optimal rate, the critical-cycle count of the bounds,
+        the ``critical_cycles`` cross-check and ``repro explain``'s
+        witness all read this one result.  A built net is never
+        mutated, so the result cannot go stale."""
+        return howard.howard_analysis(self.view(), self.durations)
 
     @property
     def size(self) -> int:

@@ -1,10 +1,10 @@
 """Directed-graph algorithms for the compile path.
 
-A compile needs five graph operations: the simple cycles of a marked
-graph (the bounds of the ``rate`` stage), a token-free cycle as a
-liveness witness (Howard), a topological order of the forward data
-arcs, weak connectivity of a dataflow graph, and reachability while
-lowering loop-carried operands.  They are written here, iteratively,
+A compile needs five graph operations: the simple cycles of Howard's
+critical graph (the bounds of the ``rate`` stage), a token-free cycle
+as a liveness witness (Howard), a topological order of the forward
+data arcs, weak connectivity of a dataflow graph, and reachability
+while lowering loop-carried operands.  They are written here, iteratively,
 over a plain successor map, so a compile needs no graph library and no
 recursion limit.
 

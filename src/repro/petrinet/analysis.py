@@ -22,8 +22,14 @@ suite:
   to the bounded-denominator rational the answer must be;
 * :mod:`repro.petrinet.linprog` — the LP formulation (Magott [30]).
 
-(The production path for rates, Howard's policy iteration, lives in
-:mod:`repro.petrinet.howard` and is cross-checked against all three.)
+(The production path, Howard's policy iteration, lives in
+:mod:`repro.petrinet.howard` and is cross-checked against all three.
+It gives the compile both the cycle time and the critical graph, in
+which :func:`repro.core.bounds.count_critical_cycles` counts critical
+cycles, so no compile enumerates a net.  :func:`critical_cycle_report`
+is the oracle for that count, and the listing behind
+:func:`repro.core.rate.critical_cycles` — ``repro analyze`` and
+``repro explain`` — the dash's slack column and ``repro storage``.)
 
 Per Appendix A.7 the implicit self-loops of Assumption A.6.1 also count
 as cycles: a transition ``t`` contributes a cycle of ratio ``τ(t)/1``,

@@ -30,6 +30,18 @@ for **every** edge, which telescopes into a machine-checked proof that
 no cycle beats the answer, and the final policy graph contains a
 witness cycle attaining it.
 
+The converged potentials also give the *critical graph* (the max-plus
+spectral result; Zorzenon et al., Millo & de Simone).  Gains never rise
+along an edge, so every critical cycle lies among the nodes whose gain
+is the cycle time ``α``.  There an edge's reduced cost
+``V(u) − (w·den − num·h + V(v))`` is ``≥ 0``, and reduced costs
+telescope to ``num·M(C) − den·Ω(C)`` around a cycle ``C``: zero exactly
+when ``Ω(C)/M(C) = α``.  So a cycle is critical iff every edge on it is
+*tight* (reduced cost 0), and :attr:`HowardResult.tight_edges` lists
+those edges — implicit self-loops included — for
+:func:`repro.core.bounds.theoretical_bounds` to count critical cycles
+in, without enumerating the net.
+
 >>> from repro.loops import parse_loop, translate
 >>> from repro.core import build_sdsp_pn
 >>> pn = build_sdsp_pn(translate(parse_loop(
@@ -58,6 +70,10 @@ __all__ = ["HowardResult", "howard_analysis", "cycle_time_howard"]
 # denominator positive: equal ratios are equal pairs.
 _Gain = Tuple[int, int]
 
+#: An edge of the critical graph: ``(producer, consumer, place)``, with
+#: ``place`` None for a transition's implicit self-loop.
+TightEdge = Tuple[str, str, Optional[str]]
+
 
 @dataclass(frozen=True)
 class _Edge:
@@ -81,12 +97,20 @@ class HowardResult:
     it is ``None`` when the maximum is attained only by an implicit
     self-loop, in which case ``critical_self_loop`` names the slow
     transition.  ``iterations`` counts policy-improvement rounds.
+
+    ``tight_edges`` is the critical graph: every edge between two nodes
+    of gain ``α`` whose reduced cost is zero under the converged
+    potentials, as ``(producer, consumer, place)`` with ``place`` None
+    for an implicit self-loop, in node order and then out-edge order.
+    Its cycles are exactly the critical cycles; it may also hold tight
+    edges that lie on none.
     """
 
     cycle_time: Fraction
     critical_cycle: Optional[SimpleCycle]
     critical_self_loop: Optional[str]
     iterations: int
+    tight_edges: Tuple[TightEdge, ...]
 
     @property
     def computation_rate(self) -> Fraction:
@@ -265,8 +289,17 @@ def howard_analysis(
         if gain[0] * alpha[1] > alpha[0] * gain[1]:
             alpha = gain
     witness_cycle, witness_loop = _extract_witness(nodes, policy, lam, alpha)
+    num, den = alpha
+    tight = tuple(
+        (u, edge.target, edge.place)
+        for u in nodes
+        if lam[u] == alpha
+        for edge in out_edges[u]
+        if lam[edge.target] == alpha
+        and val[u] == edge.weight * den - num * edge.height + val[edge.target]
+    )
     return HowardResult(
-        Fraction(*alpha), witness_cycle, witness_loop, iterations
+        Fraction(*alpha), witness_cycle, witness_loop, iterations, tight
     )
 
 

@@ -88,6 +88,39 @@ class TestFig2:
         tail = l2_report.convergence()
         assert tail and tail[-1] == Fraction(3)
 
+    def test_explain_runs_howard_once_on_the_sdsp_pn(
+        self, monkeypatch, tmp_path
+    ):
+        """The compile's rate, the ``critical_cycles`` cross-check and
+        the witness all read one Howard run per net."""
+        import io
+        from collections import Counter
+
+        from repro.cli import main
+        from repro.petrinet import howard
+
+        analysed = []
+        run = howard.howard_analysis
+
+        def spy(view, durations):
+            analysed.append(view.net)
+            return run(view, durations)
+
+        monkeypatch.setattr(howard, "howard_analysis", spy)
+        loop = tmp_path / "l2.loop"
+        loop.write_text(L2_SOURCE)
+        out = io.StringIO()
+        assert main(["explain", str(loop), "--abstract"], out=out) == 0
+        assert "matches the Howard witness" in out.getvalue()
+        # the SDSP-PN (with its ack places) and rate_analysis's
+        # ack-free net, each analysed once
+        assert sorted(Counter(id(net) for net in analysed).values()) == [1, 1]
+        assert any(
+            place.startswith("a[")
+            for net in analysed
+            for place in net.place_names
+        )
+
 
 class TestFig3Scp:
     def test_resource_bound_and_waits(self, scp_report):

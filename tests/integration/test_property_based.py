@@ -8,6 +8,8 @@ end to end:
 * the SDSP-PN is a live, safe marked graph (Section 3.2's construction
   guarantees);
 * the three cycle-time algorithms agree;
+* the critical cycles counted in Howard's critical graph are the
+  critical cycles enumeration finds, unrolled or not;
 * the earliest-firing frustum achieves exactly the analytic optimal
   rate (time-optimality, Appendix A.7);
 * the derived schedule passes dependence verification and preserves
@@ -16,16 +18,19 @@ end to end:
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro import compile_loop
+from repro.digraph import simple_cycles
 from repro.core import (
     build_sdsp_pn,
+    count_critical_cycles,
     dependence_cycle_time,
     derive_schedule,
     execute_schedule,
@@ -38,6 +43,7 @@ from repro.loops import parse_loop, reference_execute, translate, unroll_graph
 from repro.obs import stable_json
 from repro.pipeline import CompiledLoopSummary
 from repro.petrinet import (
+    critical_cycle_report,
     cycle_time_by_enumeration,
     cycle_time_lawler,
     detect_frustum,
@@ -88,6 +94,12 @@ COMMON = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+#: Enumerating every simple cycle is the oracle for the critical-cycle
+#: count, and a dense four-statement body unrolled four times in A-code
+#: has over three million of them (five minutes to enumerate), so a
+#: draw whose net has more node cycles than this is skipped.
+ORACLE_CYCLES = 5000
 
 
 class TestRandomLoops:
@@ -184,6 +196,26 @@ class TestUnrollProperties:
             # unit durations: every data cycle's ratio is >= max τ, so
             # the cyclic bound dominates at every factor
             assert unrolled == factor * base
+
+    @given(
+        source=loop_sources(),
+        factor=st.integers(1, 4),
+        include_io=st.booleans(),
+    )
+    @settings(**COMMON)
+    def test_critical_graph_count_matches_enumeration(
+        self, source, factor, include_io
+    ):
+        """The bounds count critical cycles inside Howard's critical
+        graph; enumeration of the whole net is the oracle."""
+        graph = unroll_graph(translate(parse_loop(source)).graph, factor)
+        pn = build_sdsp_pn(graph, include_io=include_io)
+        view = pn.view()
+        cycles = simple_cycles(view._transition_hops())
+        assume(sum(1 for _ in islice(cycles, ORACLE_CYCLES + 1)) <= ORACLE_CYCLES)
+        report = critical_cycle_report(view, pn.durations)
+        expected = len(report.critical_cycles) + len(report.critical_self_loops)
+        assert count_critical_cycles(pn.howard) == (expected, False)
 
     @given(source=loop_sources(), factor=st.integers(1, 3))
     @settings(max_examples=10, deadline=None,

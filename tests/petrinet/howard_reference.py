@@ -6,8 +6,8 @@ It runs the same policy trajectory as production (same start policy,
 same edge order, same gain-then-bias improvement and the same witness
 walk), but evaluates every gain and value as an exact ``Fraction``, so
 a scaling or cross-multiplication slip in the integer code shows up as
-a different cycle time, witness or iteration count.  Only tests import
-it.
+a different cycle time, witness, iteration count or critical graph (the
+edges tight under the converged values).  Only tests import it.
 """
 
 from fractions import Fraction
@@ -94,6 +94,14 @@ def howard_analysis_fraction(
             break
 
     alpha = max(lam.values())
+    tight = tuple(
+        (u, edge.target, edge.place)
+        for u in nodes
+        if lam[u] == alpha
+        for edge in out_edges[u]
+        if lam[edge.target] == alpha
+        and val[u] == edge.weight - alpha * edge.height + val[edge.target]
+    )
     start = min(u for u in nodes if lam[u] == alpha)
     seen: Dict[str, int] = {}
     path: List[str] = []
@@ -104,11 +112,11 @@ def howard_analysis_fraction(
         node = policy[node].target
     cycle = path[seen[node]:]
     if len(cycle) == 1 and policy[cycle[0]].place is None:
-        return HowardResult(alpha, None, cycle[0], iterations)
+        return HowardResult(alpha, None, cycle[0], iterations, tight)
     places = [policy[u].place for u in cycle]
     rotate = min(range(len(cycle)), key=cycle.__getitem__)
     witness = SimpleCycle(
         tuple(cycle[rotate:]) + tuple(cycle[:rotate]),
         tuple(places[rotate:]) + tuple(places[:rotate]),
     )
-    return HowardResult(alpha, witness, None, iterations)
+    return HowardResult(alpha, witness, None, iterations, tight)

@@ -6,8 +6,9 @@ their gain's denominator.  The reference in
 ``tests/petrinet/howard_reference.py`` runs the same policy iteration
 in exact ``Fraction`` arithmetic.  On every generated timed marked
 graph the two must return the same :class:`HowardResult` — cycle time,
-witness cycle, witness self-loop and iteration count — so the witness
-``repro explain`` reports cannot drift.
+witness cycle, witness self-loop, iteration count and the tight edges
+the critical-cycle count reads — so the witness ``repro explain``
+reports and the bounds' count cannot drift.
 """
 
 from hypothesis import given, settings
