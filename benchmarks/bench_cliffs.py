@@ -20,20 +20,36 @@ graph takes them to milliseconds.  Cases that still take over ~2 s
 join only with the change that brings them down, so ``make bench``
 stays short.
 
+It also runs the report commands on the 3×9 grid loop
+(:func:`~repro.batch.manifest.grid_source`, A-code), in process
+through ``repro.cli.main``: ``analyze``, ``explain --json``, ``dash``
+and ``storage``.  The grid's net has 666,712 node cycles, nearly all of
+them critical; while those commands enumerated them, ``analyze`` and
+``explain`` took ~25 s, ``dash`` ~33 s and ``storage`` over 120 s on a
+2-vCPU VM.  Reading Howard's critical graph and potentials instead,
+each must finish under :data:`REPORT_CEILING_S`.
+
 The ``kind="bench"`` record's payload holds each case's rate, unroll
-factor, transition count and critical-cycle count, which
-``repro bench-check`` gates hard.  The volatile ``timing`` section
-holds the per-stage self times ``PassManager`` reports, summed over the
-cases (``stage.<name>``), and each case's whole compile
-(``case.<id>``), which the gate checks softly.
+factor, transition count and critical-cycle count, and the grid's
+listed critical-cycle count, capped flag, storage locations and
+balanced buffer total, which ``repro bench-check`` gates hard.  The
+volatile ``timing`` section holds the per-stage self times
+``PassManager`` reports, summed over the cases (``stage.<name>``),
+each case's whole compile (``case.<id>``) and each report command's
+wall time (``report.<command>``), which the gate checks softly.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import pathlib
+import re
+import time
 
 from benchmarks.conftest import save_json
-from repro.batch.manifest import chain_source
+from repro.batch.manifest import chain_source, grid_source
+from repro.cli import main
 from repro.compiler import PassManager, make_request
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
@@ -53,6 +69,51 @@ CASES = [
     ),
     ("chain16-acode-auto", chain_source(16, False), True, "auto"),
 ]
+
+
+#: Each report command on the 3×9 grid loop, compile included, runs in
+#: well under this (the first ``storage`` also imports scipy).
+REPORT_CEILING_S = 2.0
+
+
+def run_command(*argv: str):
+    """One in-process CLI run: its stdout and its wall time."""
+    out = io.StringIO()
+    start = time.perf_counter()
+    status = main(list(argv), out=out)
+    elapsed = time.perf_counter() - start
+    assert status == 0, argv
+    return out.getvalue(), elapsed
+
+
+def grid_reports(directory: pathlib.Path):
+    """``analyze``, ``explain --json``, ``dash`` and ``storage`` on the
+    3×9 grid loop: the facts they print and each command's wall time."""
+    loop = directory / "grid3x9.loop"
+    loop.write_text(grid_source(3, 9), encoding="utf-8")
+    seconds = {}
+    analyze, seconds["analyze"] = run_command("analyze", str(loop))
+    explain, seconds["explain"] = run_command("explain", str(loop), "--json")
+    _, seconds["dash"] = run_command(
+        "dash", str(loop), "-o", str(directory / "grid.html"),
+        "--history", str(directory / "no-history.jsonl"),
+    )
+    storage, seconds["storage"] = run_command("storage", str(loop))
+    structural = json.loads(explain)["structural"]
+    locations = re.search(r"storage locations: (\d+) -> (\d+)", storage)
+    balance = re.search(r"(\d+) total slots", storage)
+    facts = {
+        "loop": "grid3x9",
+        "critical_cycles": len(structural["critical_cycles"])
+        + len(structural["critical_self_loops"]),
+        "critical_cycles_capped": structural.get(
+            "critical_cycles_capped", False
+        ),
+        "analyze_says_capped": "listing capped at" in analyze,
+        "storage_locations": [int(locations[1]), int(locations[2])],
+        "balance_total": int(balance[1]),
+    }
+    return facts, seconds
 
 
 def compile_case(source: str, include_io: bool, unroll):
@@ -83,7 +144,7 @@ def phases(timings):
     }
 
 
-def test_compile_cliffs(benchmark):
+def test_compile_cliffs(benchmark, tmp_path):
     benchmark.group = "reports"
 
     def build():
@@ -104,13 +165,20 @@ def test_compile_cliffs(benchmark):
                     ),
                 }
             )
-        return cases, timings
+        return cases, timings, grid_reports(tmp_path)
 
-    cases, timings = benchmark.pedantic(build, rounds=1, iterations=1)
+    cases, timings, (reports, seconds) = benchmark.pedantic(
+        build, rounds=1, iterations=1
+    )
+    rows = phases(timings)
+    for command, elapsed in seconds.items():
+        rows[f"report.{command}"] = {
+            "count": 1, "total": elapsed, "mean": elapsed,
+        }
     save_json(
         "cliffs.json",
-        {"bench": "cliffs", "cases": cases},
-        phases=phases(timings),
+        {"bench": "cliffs", "cases": cases, "grid_reports": reports},
+        phases=rows,
     )
 
     by_case = {case["case"]: case for case in cases}
@@ -119,7 +187,13 @@ def test_compile_cliffs(benchmark):
         if case["loop"] == "L2":
             assert case["critical_cycle_count"] == 1, case
     assert by_case["chain16-acode-auto"]["unroll"] == 17
-    for case, rows in timings.items():
-        benchmark.extra_info[f"{case}_s"] = round(rows["compile.total"], 6)
+    for case, rows_of_case in timings.items():
+        benchmark.extra_info[f"{case}_s"] = round(rows_of_case["compile.total"], 6)
         if case != "chain16-acode-auto":
-            assert rows["compile.total"] < CEILING_S, (case, rows)
+            assert rows_of_case["compile.total"] < CEILING_S, (case, rows_of_case)
+    # the grid's critical graph is its whole net: the listing stops at
+    # the budget, and both reports say so
+    assert reports["critical_cycles_capped"] and reports["analyze_says_capped"]
+    for command, elapsed in seconds.items():
+        benchmark.extra_info[f"grid3x9-{command}_s"] = round(elapsed, 6)
+        assert elapsed < REPORT_CEILING_S, (command, elapsed)

@@ -31,7 +31,9 @@ from ..errors import ReproError
 from ..loops.unroll import validate_unroll
 from .cache import cache_key
 
-__all__ = ["SweepItem", "load_manifest", "scaling_items", "chain_source"]
+__all__ = [
+    "SweepItem", "load_manifest", "scaling_items", "chain_source", "grid_source",
+]
 
 _PathLike = Union[str, pathlib.Path]
 
@@ -172,6 +174,26 @@ def chain_source(n: int, recurrence: bool) -> str:
     lines.append(f"  T0[i] = {first_rhs}")
     for k in range(1, n):
         lines.append(f"  T{k}[i] = T{k - 1}[i] + IN[i]")
+    return "\n".join(lines)
+
+
+def grid_source(width: int, depth: int) -> str:
+    """A layered DOALL loop body, ``width`` statements wide and
+    ``depth`` layers deep: layer 0 reads the input, and each statement
+    of a later layer adds two neighbours of the layer before it.  With
+    no loop-carried arc, every simple cycle of its net is a critical
+    cycle, and their number grows exponentially with the depth (the
+    3×9 grid's A-code net has 55 transitions and 666,712 node cycles),
+    which makes it the stress case for any report that lists them."""
+    lines = [f"do grid{width}x{depth}:"]
+    for j in range(width):
+        lines.append(f"  L0N{j}[i] = IN[i] + {j + 1}")
+    for layer in range(1, depth):
+        for j in range(width):
+            lines.append(
+                f"  L{layer}N{j}[i] = L{layer - 1}N{j}[i] + "
+                f"L{layer - 1}N{(j + 1) % width}[i]"
+            )
     return "\n".join(lines)
 
 

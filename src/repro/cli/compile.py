@@ -121,7 +121,7 @@ def cmd_schedule(args: argparse.Namespace, out) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace, out) -> int:
-    from ..core import critical_cycles
+    from ..core import CRITICAL_CYCLE_BUDGET, critical_cycles
 
     result = compile_from_args(args)
     info = result.translation.info
@@ -146,6 +146,11 @@ def cmd_analyze(args: argparse.Namespace, out) -> int:
     )
     for cycle in report.critical_cycles:
         print("    critical: " + " -> ".join(cycle.transitions), file=out)
+    if report.capped:
+        print(
+            f"    (listing capped at {CRITICAL_CYCLE_BUDGET} critical cycles)",
+            file=out,
+        )
     bounds = result.bounds
     print(
         f"  frustum        : found at step {result.frustum.repeat_time}, "

@@ -24,9 +24,9 @@ _EXPORTS = {
     "frustum": ("SteadyStateNet", "steady_state_equivalent_net"),
     "schedule": ("PipelinedSchedule", "ScheduledOp", "derive_schedule"),
     "rate": (
-        "dependence_bound_rate", "dependence_cycle_time", "critical_cycles",
-        "frustum_rate", "optimal_rate", "pipeline_utilization",
-        "scp_rate_upper_bound",
+        "CriticalCycles", "dependence_bound_rate", "dependence_cycle_time",
+        "critical_cycles", "frustum_rate", "optimal_rate",
+        "pipeline_utilization", "scp_rate_upper_bound",
     ),
     "bounds": (
         "CRITICAL_CYCLE_BUDGET", "DetectionMeasurement", "TheoreticalBounds",

@@ -21,9 +21,17 @@ Simone; Gaujal, Haar & Mairesse) uses for throughput analysis:
   cycle have slack **zero** — they *are* the bottleneck; every other
   transition's slack says how far it sits from mattering.
 
-Everything is exact rational arithmetic on the same cycle enumeration
-:mod:`repro.petrinet.analysis` uses, so the dashboard's numbers are
-unit-testable without rendering any HTML.
+The minimum needs no list of cycles.  Give each edge of the transition
+digraph the cost ``α·h − w`` (``h`` tokens on its place, ``w`` the
+producer's execution time): a cycle costs ``α·M(C) − Ω(C)``, so slack
+is the cheapest cycle through ``t``.  Howard's converged values are
+potentials within each strongly connected component (its nodes share
+one gain ``λ ≤ α``), which make every edge's reduced cost non-negative
+without changing any cycle's cost, so one Dijkstra from ``t``
+(:func:`repro.digraph.shortest_paths`) finds it.  Everything is exact
+integer and rational arithmetic on the net's one Howard result
+(:attr:`~repro.core.sdsp_pn.SdspPetriNet.howard`), so the dashboard's
+numbers are unit-testable without rendering any HTML.
 """
 
 from __future__ import annotations
@@ -32,9 +40,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..digraph import shortest_paths
 from ..errors import AnalysisError
 from ..obs.metrics import timed
-from ..petrinet.analysis import CriticalCycleReport, critical_cycle_report
 from ..petrinet.behavior import BehaviorGraph, CyclicFrustum
 from .sdsp_pn import SdspPetriNet
 
@@ -85,36 +93,19 @@ class AttributionReport:
 
 @timed("core.attribute_bottlenecks")
 def attribute_bottlenecks(
-    pn: SdspPetriNet,
-    frustum: CyclicFrustum,
-    report: Optional[CriticalCycleReport] = None,
+    pn: SdspPetriNet, frustum: CyclicFrustum
 ) -> AttributionReport:
     """Utilization and slack for every transition of an SDSP-PN.
 
-    ``report`` may be passed to reuse an existing critical-cycle
-    analysis; otherwise one is computed on ``pn``'s marked-graph view.
+    Slack reads the net's Howard result; each transition's
+    ``binding_cycle`` is the cheapest cycle the Dijkstra from it closes
+    (its implicit self-loop on a tie, else the one that sorts first).
     Rows come back sorted bottlenecks-first (ascending slack, then
     descending utilization, then name) — the order a dashboard wants.
     """
-    if report is None:
-        report = critical_cycle_report(pn.view(), pn.durations)
-    alpha = report.cycle_time
-    critical = report.transitions_on_critical_cycles
-
-    # Tightest constraint per transition, starting from the implicit
-    # self-loop (M = 1, Ω = τ): slack = α·M(C) − Ω(C) minimised over
-    # every cycle through the transition.
-    slack: Dict[str, Fraction] = {}
-    binding: Dict[str, Tuple[str, ...]] = {}
-    for transition in pn.net.transition_names:
-        slack[transition] = alpha - Fraction(pn.durations[transition])
-        binding[transition] = (transition,)
-    for metrics in report.metrics:
-        margin = alpha * metrics.tokens - Fraction(metrics.value)
-        for transition in metrics.cycle.transitions:
-            if margin < slack[transition]:
-                slack[transition] = margin
-                binding[transition] = metrics.cycle.transitions
+    alpha = pn.howard.cycle_time
+    slack, binding = _slack(pn)
+    critical = frozenset(t for t, margin in slack.items() if margin == 0)
 
     if frustum.length <= 0:
         raise AnalysisError("empty frustum has no utilization")
@@ -142,6 +133,67 @@ def attribute_bottlenecks(
         critical_transitions=critical,
         transitions=rows,
     )
+
+
+def _slack(
+    pn: SdspPetriNet,
+) -> Tuple[Dict[str, Fraction], Dict[str, Tuple[str, ...]]]:
+    """Each transition's slack ``min over C ∋ t of α·M(C) − Ω(C)`` and
+    the cycle attaining it, canonically rotated.
+
+    With ``α = a/b`` and a gain ``num/den`` shared by both ends, an
+    edge ``u → v`` of height ``h`` costs
+    ``(a·h − b·τ(u))·den + b·(V(u) − V(v))`` — the reduced cost scaled
+    by ``b·den``, an integer that Howard's optimality inequality makes
+    non-negative.  A cycle through ``t`` stays in ``t``'s component,
+    among nodes of ``t``'s gain, so edges between gains are left out.
+    """
+    howard = pn.howard
+    alpha = howard.cycle_time
+    a, b = alpha.numerator, alpha.denominator
+    gains, values = howard.gains, howard.values
+    cost: Dict[str, Dict[str, int]] = {t: {} for t in pn.net.transition_names}
+    closing: Dict[str, Dict[str, int]] = {t: {} for t in pn.net.transition_names}
+    for place in pn.net.place_names:
+        (u,) = pn.net.input_transitions(place)
+        (v,) = pn.net.output_transitions(place)
+        if gains[u] != gains[v]:
+            continue
+        den = gains[u][1]
+        reduced = (a * pn.initial[place] - b * pn.durations[u]) * den + b * (
+            values[u] - values[v]
+        )
+        if reduced < cost[u].get(v, reduced + 1):
+            cost[u][v] = closing[v][u] = reduced
+    slack: Dict[str, Fraction] = {}
+    binding: Dict[str, Tuple[str, ...]] = {}
+    for t in pn.net.transition_names:
+        distance, previous = shortest_paths(cost, t)
+        # the implicit self-loop (M = 1, Ω = τ) wins every tie, then
+        # the cycle that sorts first among those Dijkstra closes
+        options = [((a - b * pn.durations[t]) * gains[t][1], 0, (t,))]
+        options += [
+            (distance[u] + reduced, 1, _closed_cycle(t, u, previous))
+            for u, reduced in closing[t].items()
+            if u in distance
+        ]
+        best, _, binding[t] = min(options)
+        slack[t] = Fraction(best, b * gains[t][1])
+    return slack, binding
+
+
+def _closed_cycle(
+    t: str, last: str, previous: Dict[str, str]
+) -> Tuple[str, ...]:
+    """The cycle a shortest path from ``t`` to ``last`` closes with the
+    edge ``last → t``, canonically rotated."""
+    cycle = [t]
+    while last != t:
+        cycle.append(last)
+        last = previous[last]
+    cycle[1:] = reversed(cycle[1:])
+    start = min(range(len(cycle)), key=cycle.__getitem__)
+    return tuple(cycle[start:] + cycle[:start])
 
 
 def _post_firing_marking(behavior: BehaviorGraph, step) -> Dict[str, int]:

@@ -6,10 +6,9 @@ side (the cyclic frustum) achieves exactly ``1/α``.  This module closes
 the loop *empirically*: it rebuilds the enabling DAG of a real
 simulation run (:mod:`repro.obs.causality`), walks last-arriving-token
 edges backward to extract the **observed critical cycle**, and checks
-it against the structural critical cycles from
-:mod:`repro.petrinet.analysis` and the Howard witness from
-:mod:`repro.petrinet.howard` — a powerful cross-check of both engines,
-the provenance plumbing and the analysis layer at once.
+it against the structural critical cycles — Howard's critical graph
+and witness (:mod:`repro.petrinet.howard`) — a powerful cross-check of
+both engines, the provenance plumbing and the analysis layer at once.
 
 Entry point: :func:`explain_compiled` takes a
 :class:`~repro.pipeline.CompiledLoop` (optionally its SCP variant),
@@ -235,6 +234,7 @@ class ExplainReport:
     horizon: int
     critical_cycles: Tuple[Tuple[str, ...], ...]
     critical_self_loops: Tuple[str, ...]
+    critical_cycles_capped: bool
     howard_cycle: Optional[Tuple[str, ...]]
     howard_self_loop: Optional[str]
     observed: Optional[ObservedCycle]
@@ -264,7 +264,21 @@ class ExplainReport:
     # -- serialisation -------------------------------------------------
     def to_payload(self) -> Dict[str, Any]:
         """JSON-ready report (``repro explain --json``).  Everything
-        here is a deterministic function of the compiled loop."""
+        here is a deterministic function of the compiled loop.  A
+        critical-cycle listing stopped at the budget adds
+        ``"critical_cycles_capped": true`` to ``structural``."""
+        structural: Dict[str, Any] = {
+            "critical_cycles": [list(c) for c in self.critical_cycles],
+            "critical_self_loops": list(self.critical_self_loops),
+            "howard_cycle": (
+                list(self.howard_cycle)
+                if self.howard_cycle is not None
+                else None
+            ),
+            "howard_self_loop": self.howard_self_loop,
+        }
+        if self.critical_cycles_capped:
+            structural["critical_cycles_capped"] = True
         return {
             "schema_version": BLAME_SCHEMA_VERSION,
             "loop": self.loop,
@@ -281,16 +295,7 @@ class ExplainReport:
                 "period": self.period,
             },
             "horizon": self.horizon,
-            "structural": {
-                "critical_cycles": [list(c) for c in self.critical_cycles],
-                "critical_self_loops": list(self.critical_self_loops),
-                "howard_cycle": (
-                    list(self.howard_cycle)
-                    if self.howard_cycle is not None
-                    else None
-                ),
-                "howard_self_loop": self.howard_self_loop,
-            },
+            "structural": structural,
             "observed": (
                 self.observed.to_payload()
                 if self.observed is not None
@@ -480,18 +485,27 @@ def explain_compiled(result, periods: int = 3) -> ExplainReport:
 
     report = critical_cycles(result.pn)
     howard = result.pn.howard
-    structural = tuple(c.transitions for c in report.critical_cycles)
-    self_loops = tuple(report.critical_self_loops)
+    # The verdict looks the observed hops up in the critical graph, so
+    # it stays exact when the listing is capped: an observed cycle is
+    # critical iff each hop is a tight edge through a place, and an
+    # observed self-loop iff the implicit self-loop is tight.
+    tight = {(u, v) for u, v, place in howard.tight_edges if place is not None}
+    tight_self_loops = {
+        u for u, _, place in howard.tight_edges if place is None
+    }
     observed_match = False
     matches_howard = False
     if observed is not None:
         if observed.is_self_loop:
-            observed_match = observed.transitions[0] in self_loops
+            observed_match = observed.transitions[0] in tight_self_loops
             matches_howard = (
                 howard.critical_self_loop == observed.transitions[0]
             )
         else:
-            observed_match = observed.transitions in structural
+            hops = observed.transitions
+            observed_match = all(
+                (u, v) in tight for u, v in zip(hops, hops[1:] + hops[:1])
+            )
             matches_howard = (
                 howard.critical_cycle is not None
                 and howard.critical_cycle.transitions == observed.transitions
@@ -506,8 +520,9 @@ def explain_compiled(result, periods: int = 3) -> ExplainReport:
         frustum_repeat=run_frustum.repeat_time,
         period=run_frustum.length,
         horizon=dag.horizon,
-        critical_cycles=structural,
-        critical_self_loops=self_loops,
+        critical_cycles=tuple(c.transitions for c in report.critical_cycles),
+        critical_self_loops=tuple(report.critical_self_loops),
+        critical_cycles_capped=report.capped,
         howard_cycle=(
             howard.critical_cycle.transitions
             if howard.critical_cycle is not None

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..digraph import simple_cycles
 from ..obs.metrics import timed
 from ..petrinet.behavior import CyclicFrustum, detect_frustum
 from ..petrinet.howard import HowardResult
@@ -89,26 +88,20 @@ def count_critical_cycles(howard: HowardResult) -> Tuple[int, bool]:
     """The number of critical cycles, counting critical implicit
     self-loops, as ``(count, capped)``.
 
-    Johnson's search runs over the critical graph only (the tight edges
-    of ``howard``); a node cycle counts once per choice of tight place
-    on each hop.  Past :data:`CRITICAL_CYCLE_BUDGET` cycles the search
-    stops and the budget is returned with ``capped`` True.
+    It walks the critical graph (the tight edges of ``howard``) as the
+    listing of :func:`~repro.core.rate.critical_cycles` does
+    (:meth:`~repro.petrinet.howard.HowardResult.critical_node_cycles`),
+    counting a node cycle once per choice of tight place on each hop.
+    Past :data:`CRITICAL_CYCLE_BUDGET` cycles the search stops and the
+    budget is returned with ``capped`` True.
     """
     count = 0
-    places: Dict[str, Dict[str, int]] = {}
-    for producer, consumer, place in howard.tight_edges:
-        if place is None:
-            count += 1
-            continue
-        hops = places.setdefault(producer, {})
-        hops[consumer] = hops.get(consumer, 0) + 1
-        places.setdefault(consumer, {})
-    for cycle in simple_cycles(places):
+    for _, places in howard.critical_node_cycles():
         if count > CRITICAL_CYCLE_BUDGET:
             break
         choices = 1
-        for node, succ in zip(cycle, cycle[1:] + cycle[:1]):
-            choices *= places[node][succ]
+        for options in places:
+            choices *= len(options)
         count += choices
     if count > CRITICAL_CYCLE_BUDGET:
         return CRITICAL_CYCLE_BUDGET, True

@@ -21,19 +21,22 @@ Fraction(1, 1)
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from itertools import islice
+from typing import List
 
 from ..errors import AnalysisError
 from ..obs.metrics import timed
 from ..petrinet.behavior import CyclicFrustum
+from ..petrinet.howard import check_certificate
+from ..petrinet.marked_graph import SimpleCycle, expand_node_cycle
+from .bounds import CRITICAL_CYCLE_BUDGET
 from .scp import SdspScpNet
 from .sdsp_pn import SdspPetriNet, build_sdsp_pn
 
-if TYPE_CHECKING:  # the enumeration module stays off the compile path
-    from ..petrinet.analysis import CriticalCycleReport
-
 __all__ = [
+    "CriticalCycles",
     "optimal_rate",
     "critical_cycles",
     "scp_rate_upper_bound",
@@ -44,29 +47,88 @@ __all__ = [
 ]
 
 
-@timed("core.critical_cycles")
-def critical_cycles(pn: SdspPetriNet) -> CriticalCycleReport:
-    """Every critical cycle of an SDSP-PN, listed by enumeration.
+@dataclass(frozen=True)
+class CriticalCycles:
+    """The critical cycles of an SDSP-PN, as ``repro analyze`` and
+    ``repro explain`` list them.
 
-    This is the listing ``repro analyze`` and ``repro explain`` print;
-    it enumerates every simple cycle of the net, so the compile path
-    never calls it (the bounds count critical cycles in Howard's
-    critical graph instead, :func:`repro.core.bounds.theoretical_bounds`).
-    The listing is cross-checked against the net's Howard result
-    (:attr:`~repro.core.sdsp_pn.SdspPetriNet.howard`, shared with the
-    compile) — two independent algorithms agreeing on the cycle time
-    is a strong internal consistency guarantee.
+    ``critical_cycles`` holds the structural cycles of ratio ``α``,
+    each canonically rotated and sorted like
+    :meth:`~repro.petrinet.marked_graph.MarkedGraphView.simple_cycles`;
+    ``critical_self_loops`` the transitions whose implicit self-loop
+    attains ``α``, in net order.  Together they hold at most
+    :data:`~repro.core.bounds.CRITICAL_CYCLE_BUDGET` cycles; ``capped``
+    is True when the net has more, and then the listing is a subset.
     """
-    from ..petrinet.analysis import critical_cycle_report
 
-    report = critical_cycle_report(pn.view(), pn.durations)
-    alpha = pn.howard.cycle_time
-    if alpha != report.cycle_time:
-        raise AnalysisError(
-            "cycle-time cross-check failed: Howard's policy iteration "
-            f"found {alpha} but cycle enumeration found {report.cycle_time}"
+    cycle_time: Fraction
+    critical_cycles: List[SimpleCycle]
+    critical_self_loops: List[str]
+    capped: bool = False
+
+    @property
+    def computation_rate(self) -> Fraction:
+        return 1 / self.cycle_time
+
+    @property
+    def transitions_on_critical_cycles(self) -> frozenset:
+        names = set(self.critical_self_loops)
+        for cycle in self.critical_cycles:
+            names.update(cycle.transitions)
+        return frozenset(names)
+
+
+@timed("core.critical_cycles")
+def critical_cycles(pn: SdspPetriNet) -> CriticalCycles:
+    """The critical cycles of an SDSP-PN, listed from Howard's critical
+    graph (:attr:`~repro.core.sdsp_pn.SdspPetriNet.howard`, shared with
+    the compile): the cycles whose edges are all tight under the
+    converged potentials are exactly the cycles of ratio ``α``.
+
+    The walk is the one :func:`~repro.core.bounds.count_critical_cycles`
+    takes, expanded over the tight parallel places of each hop, and it
+    stops past :data:`~repro.core.bounds.CRITICAL_CYCLE_BUDGET` cycles
+    as the count does (a DOALL body's critical graph is the whole net).
+    Before listing, Howard's certificate is checked against the net
+    (:func:`~repro.petrinet.howard.check_certificate`), and every listed
+    cycle must have ratio ``α``; a failure raises
+    :class:`~repro.errors.AnalysisError`.  Both checks are linear in the
+    net and the listing.
+    """
+    view = pn.view()
+    howard = pn.howard
+    alpha = howard.cycle_time
+    check_certificate(view, pn.durations, howard)
+    # each critical cycle, or a self-loop's transition; one past the
+    # budget shows the cap
+    found = (
+        cycle
+        for transitions, places in howard.critical_node_cycles()
+        for cycle in (
+            expand_node_cycle(transitions, places) if places else transitions
         )
-    return report
+    )
+    listed = list(islice(found, CRITICAL_CYCLE_BUDGET + 1))
+    capped = len(listed) > CRITICAL_CYCLE_BUDGET
+    del listed[CRITICAL_CYCLE_BUDGET:]
+    self_loops = [entry for entry in listed if isinstance(entry, str)]
+    cycles = sorted(
+        (entry for entry in listed if isinstance(entry, SimpleCycle)),
+        key=lambda c: (c.transitions, c.places),
+    )
+    for cycle in cycles:
+        if cycle.cycle_time(view.initial, pn.durations) != alpha:
+            raise AnalysisError(
+                "critical cycle through " + " -> ".join(cycle.transitions)
+                + f" does not have Howard's cycle time {alpha}"
+            )
+    for transition in self_loops:
+        if pn.durations[transition] != alpha:
+            raise AnalysisError(
+                f"the self-loop of {transition!r} does not have Howard's "
+                f"cycle time {alpha}"
+            )
+    return CriticalCycles(alpha, cycles, self_loops, capped)
 
 
 @timed("core.optimal_rate")

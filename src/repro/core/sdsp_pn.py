@@ -67,16 +67,16 @@ class SdspPetriNet:
         return TimedPetriNet(self.net, self.durations)
 
     def view(self) -> MarkedGraphView:
-        """Marked-graph analysis view (cycle enumeration etc.)."""
+        """Marked-graph analysis view (liveness, safety, Howard)."""
         return MarkedGraphView(self.net, self.initial)
 
     @cached_property
     def howard(self) -> howard.HowardResult:
         """Howard's policy iteration on this net, run on first read and
         kept: the optimal rate, the critical-cycle count of the bounds,
-        the ``critical_cycles`` cross-check and ``repro explain``'s
-        witness all read this one result.  A built net is never
-        mutated, so the result cannot go stale."""
+        the ``critical_cycles`` listing, ``repro explain``'s witness, the
+        dash's slack and ``repro storage`` all read this one result.  A
+        built net is never mutated, so the result cannot go stale."""
         return howard.howard_analysis(self.view(), self.durations)
 
     @property

@@ -23,7 +23,12 @@ forward data arcs with the chain length capped by the critical ratio;
 :func:`apply_allocation` rebuilds the Petri net with the merged
 acknowledgements, and :func:`verify_allocation` re-runs the cycle-time
 analysis to *prove* the rate is preserved (and the net still live and
-safe) rather than trusting the construction.
+safe) rather than trusting the construction.  Every cycle time here is
+Howard's (:func:`~repro.petrinet.howard.howard_analysis`), on the net
+and on each rebuilt one, and liveness and safety are decided without
+listing cycles (:class:`~repro.petrinet.marked_graph.MarkedGraphView`),
+so ``repro storage`` stays polynomial in the net; only Figure 4's
+table, :func:`balancing_ratios`, lists every cycle.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..dataflow.graph import ArcKind, DataArc
+from ..dataflow.graph import DataArc
 from ..errors import AnalysisError
-from ..petrinet.analysis import critical_cycle_report, cycle_time_by_enumeration
+from ..petrinet.howard import howard_analysis
 from ..petrinet.marked_graph import MarkedGraphView
 from ..petrinet.marking import Marking
 from ..petrinet.net import PetriNet
+from .rate import dependence_cycle_time
 from .sdsp_pn import ACK_PREFIX, DATA_PREFIX, SdspPetriNet
 
 __all__ = [
@@ -138,7 +144,7 @@ def optimize_storage(
     DAG induces per node because each arc has a unique producer port;
     ties are broken deterministically.)
     """
-    alpha = cycle_time_by_enumeration(pn.view(), pn.durations)
+    alpha = pn.howard.cycle_time
     if max_chain_length is None:
         # L <= alpha - 1, integral.
         cap = int(alpha) - 1 if alpha.denominator == 1 else int(alpha - 1)
@@ -212,10 +218,7 @@ def _repair_allocation(
         )
         net, marking = apply_allocation(pn, candidate)
         view = MarkedGraphView(net, marking)
-        if (
-            view.is_live()
-            and cycle_time_by_enumeration(view, pn.durations) == alpha
-        ):
+        if howard_analysis(view, pn.durations).cycle_time == alpha:
             return candidate
         longest = max(chains, key=lambda c: c.length)
         if longest.length == 1:  # pragma: no cover - baseline always passes
@@ -274,25 +277,25 @@ def verify_allocation(
     pn: SdspPetriNet, allocation: StorageAllocation
 ) -> Fraction:
     """Prove the allocation preserves the optimal computation rate:
-    rebuild the net, check liveness and safety (Theorems A.5.1/A.5.2)
-    and re-compute the cycle time, which must equal the original.
-    Returns the (unchanged) cycle time."""
-    original = cycle_time_by_enumeration(pn.view(), pn.durations)
+    rebuild the net, check liveness and safety (Theorems A.5.1/A.5.2,
+    the first naming a token-free witness cycle) and re-compute the
+    cycle time with Howard, which must equal the original.  Returns the
+    (unchanged) cycle time."""
+    original = pn.howard.cycle_time
     net, marking = apply_allocation(pn, allocation)
     view = MarkedGraphView(net, marking)
-    if not view.is_live():
+    dead = view.token_free_cycle()
+    if dead is not None:
         raise AnalysisError(
             "optimised allocation deadlocks: token-free cycle through "
-            + ", ".join(
-                " -> ".join(c.transitions) for c in view.token_free_cycles()
-            )
+            + " -> ".join(dead.transitions)
         )
-    if not view.is_safe():
+    unsafe = view.unsafe_places()
+    if unsafe:
         raise AnalysisError(
-            "optimised allocation is unsafe on places: "
-            + ", ".join(view.unsafe_places())
+            "optimised allocation is unsafe on places: " + ", ".join(unsafe)
         )
-    optimised = cycle_time_by_enumeration(view, pn.durations)
+    optimised = howard_analysis(view, pn.durations).cycle_time
     if optimised != original:
         raise AnalysisError(
             f"optimised allocation changed the cycle time: {original} -> "
@@ -347,11 +350,16 @@ def balance_buffers(
     can only shorten cycle times, so feasibility is preserved; the
     result is re-verified by cycle-time analysis anyway.
 
-    ``target_rate`` defaults to the net's self-loop floor rate
-    ``1/max τ`` for acyclic (DOALL) loops and the recurrence-limited
-    rate otherwise — i.e. "as fast as this loop can possibly go".
-    Self-arcs (accumulators) are capacity-1 by non-reentrance and
-    excluded from the optimisation.
+    ``target_rate`` defaults to the fastest sustainable rate, "as fast
+    as this loop can possibly go": the recurrence cycles carry the
+    loop's own values (fixed tokens), and non-reentrance floors the
+    period at the slowest operation, while buffering can fix everything
+    else.  That period, ``max(max τ, RecMII)``, is the cycle time of
+    the net's acknowledgement-free subnet
+    (:func:`~repro.core.rate.dependence_cycle_time`), whose implicit
+    self-loops give the ``max τ`` floor.  Self-arcs (accumulators) are
+    capacity-1 by non-reentrance and excluded from the optimisation.
+    The result is re-verified by Howard on the rebuilt net.
     """
     from scipy.optimize import linprog
     import numpy as np
@@ -373,17 +381,12 @@ def balance_buffers(
     m = len(arcs)
 
     if target_rate is None:
-        # Fastest sustainable rate: the recurrence cycles carry the
-        # loop's own values (fixed tokens), and non-reentrance floors
-        # the period at the slowest operation; buffering can fix
-        # everything else.  The recurrence bound comes from the
-        # data-arcs-only dependence graph (unbounded acknowledgements).
-        from ..baselines.depgraph import DependenceGraph
-
-        floor_period = Fraction(max(pn.durations.values()))
-        rec_mii = DependenceGraph.from_sdsp_pn(pn).recurrence_mii()
-        period = max(floor_period, rec_mii)
-        target_rate = 1 / period
+        # abstract mode is the only way a net drops nodes of its SDSP
+        target_rate = 1 / dependence_cycle_time(
+            pn.sdsp,
+            include_io=len(transitions) == len(pn.sdsp.nodes),
+            durations=pn.durations,
+        )
     target_period = 1 / target_rate
 
     alpha = float(target_period)
@@ -469,9 +472,7 @@ def _verify_balance(pn: SdspPetriNet, balance: BufferBalance) -> None:
         if spare:
             tokens[ack_place] = spare
     view = MarkedGraphView(net, Marking(tokens, net))
-    if not view.is_live():
-        raise AnalysisError("balanced allocation deadlocks")
-    achieved = cycle_time_by_enumeration(view, pn.durations)
+    achieved = howard_analysis(view, pn.durations).cycle_time
     if achieved > balance.target_period:
         raise AnalysisError(
             f"balanced allocation reaches cycle time {achieved}, above the "

@@ -1,18 +1,20 @@
-"""Directed-graph algorithms for the compile path.
+"""Directed-graph algorithms for the compile path and the reports.
 
 A compile needs five graph operations: the simple cycles of Howard's
 critical graph (the bounds of the ``rate`` stage), a token-free cycle
 as a liveness witness (Howard), a topological order of the forward
 data arcs, weak connectivity of a dataflow graph, and reachability
-while lowering loop-carried operands.  They are written here, iteratively,
-over a plain successor map, so a compile needs no graph library and no
-recursion limit.
+while lowering loop-carried operands.  The reports add shortest paths
+(the dash's slack and the safety check of ``repro storage``).  They
+are written here, iteratively, over a plain successor map, so no
+command needs a graph library or a recursion limit.
 
 A *graph* is a mapping from every node to an iterable of its
 successors; a successor listed twice is a parallel edge, and a node
 listed among its own successors is a self-loop.  Every node must be a
-key.  Nodes only need to be hashable, except for
-:func:`topological_order`, which also compares them.
+key.  A *weighted graph* maps every node to a mapping from each
+successor to the weight of the edge.  Nodes only need to be hashable,
+except for :func:`topological_order`, which also compares them.
 
 >>> ring = {"a": ["b"], "b": ["c", "a"], "c": ["a"]}
 >>> sorted(sorted(cycle) for cycle in simple_cycles(ring))
@@ -21,23 +23,37 @@ key.  Nodes only need to be hashable, except for
 True
 >>> topological_order({"b": [], "a": ["b"], "c": ["b"]})
 ['a', 'c', 'b']
+>>> shortest_paths({"a": {"b": 1, "c": 4}, "b": {"c": 2}, "c": {}}, "a")
+({'a': 0, 'b': 1, 'c': 3}, {'b': 'a', 'c': 'b'})
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Set
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Set,
+    Tuple,
+)
 
 __all__ = [
     "find_cycle",
     "has_path",
     "is_weakly_connected",
+    "shortest_paths",
     "simple_cycles",
     "strongly_connected_components",
     "topological_order",
 ]
 
 Graph = Mapping[Hashable, Iterable[Hashable]]
+WeightedGraph = Mapping[Hashable, Mapping[Hashable, int]]
 
 
 def strongly_connected_components(graph: Graph) -> List[List[Hashable]]:
@@ -230,3 +246,33 @@ def has_path(graph: Graph, source: Hashable, target: Hashable) -> bool:
                 seen.add(succ)
                 todo.append(succ)
     return False
+
+
+def shortest_paths(
+    graph: WeightedGraph, source: Hashable
+) -> Tuple[Dict[Hashable, int], Dict[Hashable, Hashable]]:
+    """Dijkstra from ``source`` over non-negative edge weights, as
+    ``(distance, predecessor)``: the distance of every node reachable
+    from ``source`` and, for each of them but ``source``, the node
+    before it on one shortest path.  Of equally short paths, the first
+    one found wins."""
+    distance: Dict[Hashable, int] = {source: 0}
+    predecessor: Dict[Hashable, Hashable] = {}
+    done: Set[Hashable] = set()
+    # the counter orders equal distances by discovery, so nodes are
+    # never compared
+    heap = [(0, 0, source)]
+    pushed = 1
+    while heap:
+        dist, _, node = heapq.heappop(heap)
+        if node in done:
+            continue
+        done.add(node)
+        for succ, weight in graph[node].items():
+            candidate = dist + weight
+            if succ not in distance or candidate < distance[succ]:
+                distance[succ] = candidate
+                predecessor[succ] = node
+                heapq.heappush(heap, (candidate, pushed, succ))
+                pushed += 1
+    return distance, predecessor

@@ -5,8 +5,8 @@ paper: untimed nets and markings, reachability-based behavioural
 properties, marked-graph theory, timed nets with instantaneous states,
 the earliest-firing simulators (unit-time stepping and event-driven),
 behavior graphs with cyclic-frustum detection, and cycle-time analysis
-(Howard's policy iteration, enumeration, parametric search and linear
-programming).
+(Howard's policy iteration, which every command runs; enumeration,
+parametric search and linear programming as test oracles).
 """
 
 from .._lazy import lazy_exports
@@ -21,7 +21,10 @@ _EXPORTS = {
         "bound_of", "consistent_firing_vector", "deadlocked_markings",
         "is_bounded", "is_consistent", "is_live", "is_persistent", "is_safe",
     ),
-    "marked_graph": ("MarkedGraphView", "SimpleCycle", "require_marked_graph"),
+    "marked_graph": (
+        "MarkedGraphView", "SimpleCycle", "expand_node_cycle",
+        "require_marked_graph",
+    ),
     "timed": ("InstantaneousState", "TimedPetriNet"),
     "simulator": (
         "ConflictResolutionPolicy", "EarliestFiringSimulator", "FireAllPolicy",
@@ -32,7 +35,10 @@ _EXPORTS = {
         "BehaviorGraph", "BehaviorStep", "CyclicFrustum", "FrustumDetector",
         "PlaceInstance", "TransitionInstance", "detect_frustum",
     ),
-    "howard": ("HowardResult", "cycle_time_howard", "howard_analysis"),
+    "howard": (
+        "HowardResult", "check_certificate", "cycle_time_howard",
+        "howard_analysis",
+    ),
     "analysis": (
         "CriticalCycleReport", "CycleMetrics", "computation_rate",
         "critical_cycle_report", "cycle_metrics", "cycle_time_by_enumeration",

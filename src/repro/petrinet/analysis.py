@@ -11,11 +11,10 @@ the maximising cycles are the **critical cycles** whose structure
 drives everything in the paper: the steady-state period, the schedule,
 the polynomial bounds, and the storage optimiser.
 
-Three independent algorithms are provided and cross-checked in the test
-suite:
+Three independent algorithms are provided as test oracles:
 
 * :func:`cycle_time_by_enumeration` — exact, enumerates all simple
-  cycles (fine for loop bodies; can be exponential in general);
+  cycles (fine for loop bodies; exponential in general);
 * :func:`cycle_time_lawler` — Lawler's parametric search: binary-search
   the ratio ``λ`` and test for a positive-weight cycle under edge
   weights ``τ(u) − λ·M(p)`` with exact rational arithmetic, then snap
@@ -23,13 +22,14 @@ suite:
 * :mod:`repro.petrinet.linprog` — the LP formulation (Magott [30]).
 
 (The production path, Howard's policy iteration, lives in
-:mod:`repro.petrinet.howard` and is cross-checked against all three.
-It gives the compile both the cycle time and the critical graph, in
-which :func:`repro.core.bounds.count_critical_cycles` counts critical
-cycles, so no compile enumerates a net.  :func:`critical_cycle_report`
-is the oracle for that count, and the listing behind
-:func:`repro.core.rate.critical_cycles` — ``repro analyze`` and
-``repro explain`` — the dash's slack column and ``repro storage``.)
+:mod:`repro.petrinet.howard`; every command reads it, and the tests
+cross-check it against all three.  Its critical graph and potentials
+answer what enumeration used to: the bounds' critical-cycle count,
+the listing of ``repro analyze`` and ``repro explain``, the dash's
+slack and every cycle time of ``repro storage``.
+:func:`critical_cycle_report` and :func:`cycle_metrics` are the
+oracles the property tests hold those answers against; no module
+under ``src/repro`` calls this one.)
 
 Per Appendix A.7 the implicit self-loops of Assumption A.6.1 also count
 as cycles: a transition ``t`` contributes a cycle of ratio ``τ(t)/1``,

@@ -14,8 +14,10 @@ exponential in general and Lawler's parametric search re-runs
 Bellman–Ford per probe; Howard's policy iteration computes the same
 value in near-linear practical time (Cochet-Terrasson et al.; the same
 lever used by the max-plus scheduling literature, e.g. Zorzenon et al.
-2022 and Millo & de Simone 2012), which is why
-:func:`repro.core.rate.optimal_rate` routes through it.
+2022 and Millo & de Simone 2012), which is why every command routes
+through it, starting with :func:`repro.core.rate.optimal_rate`.  A net
+with a token-free cycle has no cycle time; it is rejected up front,
+naming that cycle (:meth:`MarkedGraphView.token_free_cycle`).
 
 The iteration maintains a *policy* — one outgoing edge per node — whose
 one-cycle-per-component functional graph is evaluated exactly, then
@@ -38,9 +40,12 @@ is the cycle time ``α``.  There an edge's reduced cost
 telescope to ``num·M(C) − den·Ω(C)`` around a cycle ``C``: zero exactly
 when ``Ω(C)/M(C) = α``.  So a cycle is critical iff every edge on it is
 *tight* (reduced cost 0), and :attr:`HowardResult.tight_edges` lists
-those edges — implicit self-loops included — for
-:func:`repro.core.bounds.theoretical_bounds` to count critical cycles
-in, without enumerating the net.
+those edges — implicit self-loops included.  The bounds count critical
+cycles in that graph and ``repro analyze`` and ``repro explain`` list
+them (:meth:`HowardResult.critical_node_cycles`), without enumerating
+the net.  The converged gains and values travel with the result, so
+:func:`check_certificate` can re-check the inequalities against the net
+in one pass, and the dash's slack can use the values as potentials.
 
 >>> from repro.loops import parse_loop, translate
 >>> from repro.core import build_sdsp_pn
@@ -58,13 +63,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..digraph import find_cycle
+from ..digraph import simple_cycles
 from ..errors import AnalysisError
 from .marked_graph import MarkedGraphView, SimpleCycle
 
-__all__ = ["HowardResult", "howard_analysis", "cycle_time_howard"]
+__all__ = [
+    "HowardResult",
+    "check_certificate",
+    "cycle_time_howard",
+    "howard_analysis",
+]
 
 # A cycle ratio as a reduced ``(numerator, denominator)`` pair of ints,
 # denominator positive: equal ratios are equal pairs.
@@ -104,6 +114,10 @@ class HowardResult:
     for an implicit self-loop, in node order and then out-edge order.
     Its cycles are exactly the critical cycles; it may also hold tight
     edges that lie on none.
+
+    ``gains`` and ``values`` are the converged potentials of every
+    transition: its gain as a reduced ``(numerator, denominator)``
+    pair, and its value scaled by that denominator.
     """
 
     cycle_time: Fraction
@@ -111,10 +125,34 @@ class HowardResult:
     critical_self_loop: Optional[str]
     iterations: int
     tight_edges: Tuple[TightEdge, ...]
+    gains: Mapping[str, Tuple[int, int]]
+    values: Mapping[str, int]
 
     @property
     def computation_rate(self) -> Fraction:
         return 1 / self.cycle_time
+
+    def critical_node_cycles(
+        self,
+    ) -> Iterator[Tuple[Sequence[str], Tuple[Sequence[str], ...]]]:
+        """The critical cycles, grouped by node cycle, as
+        ``(transitions, places)``: ``places[i]`` holds the tight places
+        of the hop from ``transitions[i]`` to the next, and the node
+        cycle stands for one critical cycle per choice of place on each
+        hop.  Each critical implicit self-loop comes first, as
+        ``([t], ())``; then Johnson's search runs over the critical
+        graph only, so a caller that stops early stops the search."""
+        hops: Dict[str, Dict[str, List[str]]] = {}
+        for producer, consumer, place in self.tight_edges:
+            if place is None:
+                yield [producer], ()
+                continue
+            hops.setdefault(producer, {}).setdefault(consumer, []).append(place)
+            hops.setdefault(consumer, {})
+        for cycle in simple_cycles(hops):
+            yield cycle, tuple(
+                hops[node][succ] for node, succ in zip(cycle, cycle[1:] + cycle[:1])
+            )
 
 
 def _build_edges(
@@ -141,42 +179,31 @@ def _build_edges(
     return out
 
 
-def _require_live(view: MarkedGraphView) -> None:
-    """Reject token-free structural cycles up front (no finite cycle
-    time exists).  A cycle all of whose places are empty is exactly a
-    cycle of the zero-token edge subgraph — an O(P + T) check, no cycle
-    enumeration needed."""
-    net = view.net
-    zero: Dict[str, List[str]] = {t: [] for t in net.transition_names}
-    for place in net.place_names:
-        if view.initial[place] == 0:
-            (producer,) = net.input_transitions(place)
-            (consumer,) = net.output_transitions(place)
-            zero[producer].append(consumer)
-    transitions = find_cycle(zero)
-    if transitions is None:
-        return
-    raise AnalysisError(
-        "cycle through "
-        + " -> ".join(transitions)
-        + " carries no token: the net is not live and has no cycle time"
-    )
-
-
 def _evaluate(
-    nodes: Tuple[str, ...], policy: Dict[str, _Edge]
+    nodes: Tuple[str, ...],
+    policy: Dict[str, _Edge],
+    previous: Tuple[Dict[str, _Gain], Dict[str, int]],
 ) -> Tuple[Dict[str, _Gain], Dict[str, int]]:
     """Exact multichain policy evaluation, in integers.
 
     The policy graph is functional (one successor per node), so every
     node leads to exactly one cycle.  Each cycle gets gain
     ``λ = Σ weight / Σ height``, kept as a reduced ``(num, den)`` pair;
-    values satisfy ``v(u) = w(u) − λ·h(u) + v(next(u))`` with the
-    cycle's first discovered node anchored at 0, and are stored scaled
-    by ``den``: ``V(u) = w(u)·den − num·h(u) + V(next(u))``.  Values
-    are only ever compared between nodes of one gain, so the scaling
-    preserves every comparison.
+    values satisfy ``v(u) = w(u) − λ·h(u) + v(next(u))`` and are stored
+    scaled by ``den``: ``V(u) = w(u)·den − num·h(u) + V(next(u))``.
+    Values are only ever compared between nodes of one gain, so the
+    scaling preserves every comparison.
+
+    A cycle's first discovered node anchors its values.  It keeps its
+    ``previous`` value when its gain is unchanged — then the cycle is
+    one the last policy already had, because a bias step only closes
+    new cycles of a larger ratio — and starts at 0 otherwise.  Without
+    that, a kept cycle whose anchor moved would shift its component's
+    values against another component of the same gain, and the bias
+    step could switch between two policies for ever (Cochet-Terrasson
+    et al. fix the anchor for the same reason).
     """
+    previous_lam, previous_val = previous
     lam: Dict[str, _Gain] = {}
     val: Dict[str, int] = {}
     state: Dict[str, int] = {node: 0 for node in nodes}  # 0 new, 1 open, 2 done
@@ -195,7 +222,7 @@ def _evaluate(
             cycle = path[index:]
             weight = sum(policy[u].weight for u in cycle)
             height = sum(policy[u].height for u in cycle)
-            if height == 0:  # pragma: no cover - excluded by _require_live
+            if height == 0:  # pragma: no cover - excluded by the liveness check
                 raise AnalysisError(
                     "policy cycle through "
                     + " -> ".join(cycle)
@@ -206,7 +233,9 @@ def _evaluate(
             num, den = gain
             anchor = cycle[0]
             lam[anchor] = gain
-            val[anchor] = 0
+            val[anchor] = (
+                previous_val[anchor] if previous_lam.get(anchor) == gain else 0
+            )
             state[anchor] = 2
             for u in reversed(cycle[1:]):
                 edge = policy[u]
@@ -235,13 +264,21 @@ def howard_analysis(
     nodes = tuple(view.net.transition_names)
     if not nodes:
         raise AnalysisError("net has no transitions; cycle time undefined")
-    _require_live(view)
+    dead = view.token_free_cycle()
+    if dead is not None:
+        raise AnalysisError(
+            "cycle through "
+            + " -> ".join(dead.transitions)
+            + " carries no token: the net is not live and has no cycle time"
+        )
     out_edges = _build_edges(view, durations)
     # Start from the always-present self-loops: a valid policy whose
     # evaluation (λ(t) = τ(t)) is the paper's self-loop floor.
     policy: Dict[str, _Edge] = {u: out_edges[u][-1] for u in nodes}
 
     iterations = 0
+    lam: Dict[str, _Gain] = {}
+    val: Dict[str, int] = {}
     limit = 16 + 4 * len(nodes) * sum(len(e) for e in out_edges.values())
     while True:
         iterations += 1
@@ -250,7 +287,7 @@ def howard_analysis(
                 "Howard policy iteration failed to converge within "
                 f"{limit} rounds"
             )
-        lam, val = _evaluate(nodes, policy)
+        lam, val = _evaluate(nodes, policy, (lam, val))
         # Gain improvement: move to a strictly larger reachable ratio
         # (a/b > c/d  iff  a·d > c·b, denominators being positive).
         changed = False
@@ -299,7 +336,8 @@ def howard_analysis(
         and val[u] == edge.weight * den - num * edge.height + val[edge.target]
     )
     return HowardResult(
-        Fraction(*alpha), witness_cycle, witness_loop, iterations, tight
+        Fraction(*alpha), witness_cycle, witness_loop, iterations, tight,
+        lam, val,
     )
 
 
@@ -334,3 +372,56 @@ def cycle_time_howard(
 ) -> Fraction:
     """Cycle time ``alpha`` by Howard's policy iteration (exact)."""
     return howard_analysis(view, durations).cycle_time
+
+
+def check_certificate(
+    view: MarkedGraphView, durations: Mapping[str, int], result: HowardResult
+) -> None:
+    """Check Howard's optimality certificate against the net, in one
+    pass over its places and transitions; raise :class:`AnalysisError`
+    naming the first violation.
+
+    Every place ``p = u → v`` (weight ``τ(u)``, height ``M(p)``) and
+    every implicit self-loop must satisfy, under ``result``'s gains and
+    values:
+
+    * the gain does not rise along it: ``λ(v) ≤ λ(u)``;
+    * between nodes of equal gain ``num/den``,
+      ``V(u) ≥ w·den − num·h + V(v)``;
+
+    and the cycle time must be the largest gain.  The two inequalities
+    telescope around any cycle into ``Ω(C)/M(C) ≤ λ ≤ α``, so no cycle
+    beats the answer; a critical cycle of ratio ``α`` (which the caller
+    checks) shows it is attained.
+    """
+    gains, values = result.gains, result.values
+    net = view.net
+    edges = [
+        (net.input_transitions(place)[0], net.output_transitions(place)[0],
+         view.initial[place], place)
+        for place in net.place_names
+    ]
+    edges += [(t, t, 1, None) for t in net.transition_names]
+    for producer, consumer, height, place in edges:
+        num, den = gains[producer]
+        target_num, target_den = gains[consumer]
+        where = (
+            f"place {place!r}" if place is not None
+            else f"the self-loop of {producer!r}"
+        )
+        if target_num * den > num * target_den:
+            raise AnalysisError(
+                f"Howard certificate fails: the gain rises along {where}"
+            )
+        if (target_num, target_den) == (num, den) and values[producer] < (
+            durations[producer] * den - num * height + values[consumer]
+        ):
+            raise AnalysisError(
+                f"Howard certificate fails: the value inequality of "
+                f"{where} does not hold"
+            )
+    if result.cycle_time != max(Fraction(*gain) for gain in gains.values()):
+        raise AnalysisError(
+            f"Howard certificate fails: the cycle time {result.cycle_time} "
+            "is not the largest gain"
+        )

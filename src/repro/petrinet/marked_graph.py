@@ -3,14 +3,21 @@
 A Petri net is a *marked graph* iff every place has exactly one input
 and one output transition (Definition A.5.1).  Marked graphs are
 persistent by construction and admit sharp structural characterisations
-of liveness and safety (Theorems A.5.1/A.5.2), which this module
-implements directly on cycles — no state-space exploration required.
+of liveness and safety (Theorems A.5.1/A.5.2), stated on cycles — no
+state-space exploration required.
 
 A marked graph is conveniently viewed as a digraph over transitions in
 which each place becomes an edge from its producer to its consumer,
 labelled with its initial token count; simple cycles of that digraph
 are in bijection with the simple cycles of the net (paper footnote 8/9:
 directed paths where all nodes are distinct except the endpoints).
+The theorems need no cycle listing on that digraph: a net is live iff
+its token-free edges form no cycle, and the fewest tokens on a cycle
+through a place is one shortest path away.  Enumerating every simple
+cycle (:meth:`MarkedGraphView.simple_cycles`) is exponential in
+general; it stays for the test oracles, Figure 4's
+:func:`~repro.core.storage.balancing_ratios` and the simulator's
+:meth:`~MarkedGraphView.token_count_invariant` check.
 
 >>> from repro.petrinet import PetriNet, Marking
 >>> net = PetriNet(name="ring")
@@ -25,13 +32,16 @@ directed paths where all nodes are distinct except the endpoints).
 [('a', 'b')]
 >>> view.simple_cycles()[0].token_sum(Marking({"p": 1}))
 1
+>>> view.is_live(), MarkedGraphView(net, Marking({})).token_free_cycle()
+(True, SimpleCycle(transitions=('a', 'b'), places=('p', 'q')))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from itertools import product
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .. import digraph
 from ..errors import NotAMarkedGraphError
@@ -41,6 +51,7 @@ from .net import PetriNet
 __all__ = [
     "SimpleCycle",
     "MarkedGraphView",
+    "expand_node_cycle",
     "require_marked_graph",
 ]
 
@@ -101,8 +112,9 @@ class MarkedGraphView:
     """Cycle-level analysis of a marked graph with an initial marking.
 
     The view caches the transition-level hops (the places from each
-    producer to each consumer) and the simple-cycle enumeration.  All
-    of Theorems A.5.1–A.5.3 are available as methods.
+    producer to each consumer) and the simple-cycle enumeration.
+    Theorems A.5.1 (:meth:`is_live`) and A.5.2 (:meth:`is_safe`) are
+    decided in polynomial time, without the enumeration.
     """
 
     def __init__(self, net: PetriNet, initial: Marking) -> None:
@@ -146,60 +158,85 @@ class MarkedGraphView:
         """
         if self._cycles is not None:
             return self._cycles
+        hops = self._transition_hops()
         cycles: List[SimpleCycle] = []
-        for node_cycle in digraph.simple_cycles(self._transition_hops()):
-            cycles.extend(self._expand_parallel_places(node_cycle))
+        for node_cycle in digraph.simple_cycles(hops):
+            successors = node_cycle[1:] + node_cycle[:1]
+            cycles.extend(
+                expand_node_cycle(
+                    node_cycle,
+                    [hops[u][v] for u, v in zip(node_cycle, successors)],
+                )
+            )
         # sort canonicalized cycles so reports, ledgers and goldens do
         # not depend on the enumeration order
         cycles.sort(key=lambda c: (c.transitions, c.places))
         self._cycles = cycles
         return cycles
 
-    def _expand_parallel_places(self, node_cycle: Sequence[str]) -> List[SimpleCycle]:
-        """Turn a node cycle into all place-labelled cycles it induces
-        (cartesian product over parallel places on each hop), rotated to
-        the canonical start (the lexicographically smallest transition)
-        so the same cycle always prints the same way."""
-        hops = self._transition_hops()
-        size = len(node_cycle)
-        combos: List[List[str]] = [[]]
-        for i in range(size):
-            options = hops[node_cycle[i]][node_cycle[(i + 1) % size]]
-            combos = [prefix + [choice] for prefix in combos for choice in options]
-        start = min(range(size), key=node_cycle.__getitem__)
-        rotated = tuple(node_cycle[start:]) + tuple(node_cycle[:start])
-        return [
-            SimpleCycle(rotated, tuple(combo[start:] + combo[:start]))
-            for combo in combos
-        ]
-
     # ------------------------------------------------------------------
     # Theorems A.5.1 – A.5.3
     # ------------------------------------------------------------------
-    def is_live(self) -> bool:
-        """Theorem A.5.1: live iff every simple cycle carries a token."""
-        return all(c.token_sum(self.initial) > 0 for c in self.simple_cycles())
+    def token_free_cycle(self) -> Optional[SimpleCycle]:
+        """A cycle whose places all start empty — the witness against
+        liveness — or ``None`` when the net is live.  Such a cycle is
+        exactly a cycle of the subgraph of token-free places, so one
+        depth-first search finds it, in ``O(P + T)``."""
+        zero: Dict[str, Dict[str, str]] = {t: {} for t in self.net.transition_names}
+        for place in self.net.place_names:
+            if self.initial[place] == 0:
+                (producer,) = self.net.input_transitions(place)
+                (consumer,) = self.net.output_transitions(place)
+                zero[producer].setdefault(consumer, place)
+        transitions = digraph.find_cycle(zero)
+        if transitions is None:
+            return None
+        size = len(transitions)
+        return SimpleCycle(
+            tuple(transitions),
+            tuple(
+                zero[transitions[i]][transitions[(i + 1) % size]]
+                for i in range(size)
+            ),
+        )
 
-    def token_free_cycles(self) -> List[SimpleCycle]:
-        """Witnesses against liveness (empty when live)."""
-        return [c for c in self.simple_cycles() if c.token_sum(self.initial) == 0]
+    def is_live(self) -> bool:
+        """Theorem A.5.1: live iff every simple cycle carries a token,
+        i.e. iff there is no :meth:`token_free_cycle`."""
+        return self.token_free_cycle() is None
 
     def is_safe(self) -> bool:
         """Theorem A.5.2 (for a live marking): safe iff every place lies
         on some simple cycle with token count exactly 1."""
-        covered = set()
-        for cycle in self.simple_cycles():
-            if cycle.token_sum(self.initial) == 1:
-                covered.update(cycle.places)
-        return covered >= set(self.net.place_names)
+        return not self.unsafe_places()
 
     def unsafe_places(self) -> List[str]:
-        """Places not covered by any token-1 simple cycle."""
-        covered = set()
-        for cycle in self.simple_cycles():
-            if cycle.token_sum(self.initial) == 1:
-                covered.update(cycle.places)
-        return [p for p in self.net.place_names if p not in covered]
+        """Places on no simple cycle with token count 1, in net order.
+
+        A place ``p = u → v`` lies on a cycle of ``M(p)`` plus the
+        tokens of a path ``v → u``, and a shortest path is simple, so
+        the fewest tokens on a cycle through ``p`` is ``M(p)`` plus the
+        token distance from ``v`` to ``u``: one Dijkstra per consumer
+        transition, over the token counts.  On a live net every cycle
+        carries a token, so ``p`` is covered iff that number is 1; a
+        place on no cycle is unsafe."""
+        tokens: Dict[str, Dict[str, int]] = {}
+        for producer, targets in self._transition_hops().items():
+            tokens[producer] = {
+                consumer: min(self.initial[p] for p in places)
+                for consumer, places in targets.items()
+            }
+        distances: Dict[str, Dict[str, int]] = {}
+        unsafe = []
+        for place in self.net.place_names:
+            (producer,) = self.net.input_transitions(place)
+            (consumer,) = self.net.output_transitions(place)
+            if consumer not in distances:
+                distances[consumer] = digraph.shortest_paths(tokens, consumer)[0]
+            back = distances[consumer].get(producer)
+            if back is None or self.initial[place] + back != 1:
+                unsafe.append(place)
+        return unsafe
 
     def token_count_invariant(self, marking: Marking) -> bool:
         """The token count of every simple cycle is a firing invariant
@@ -214,3 +251,18 @@ class MarkedGraphView:
         """Strong connectivity of the transition digraph; steady-state
         equivalent nets are strongly connected by construction."""
         return len(digraph.strongly_connected_components(self._transition_hops())) <= 1
+
+
+def expand_node_cycle(
+    node_cycle: Sequence[str], options: Sequence[Sequence[str]]
+) -> Iterator[SimpleCycle]:
+    """The place-labelled cycles a node cycle induces, one per choice
+    of place on each hop (``options[i]`` for the hop from
+    ``node_cycle[i]``), each rotated to the canonical start (the
+    lexicographically smallest transition) so the same cycle always
+    prints the same way."""
+    size = len(node_cycle)
+    start = min(range(size), key=node_cycle.__getitem__)
+    rotated = tuple(node_cycle[start:]) + tuple(node_cycle[:start])
+    for combo in product(*options):
+        yield SimpleCycle(rotated, combo[start:] + combo[:start])

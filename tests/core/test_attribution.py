@@ -91,17 +91,6 @@ class TestUtilization:
             report.by_name("nope")
 
 
-class TestReusedReport:
-    def test_accepts_precomputed_critical_report(self, l2_pn_abstract):
-        frustum, _ = detect_frustum(
-            l2_pn_abstract.timed, l2_pn_abstract.initial
-        )
-        pre = critical_cycles(l2_pn_abstract)
-        fresh = attribute_bottlenecks(l2_pn_abstract, frustum)
-        reused = attribute_bottlenecks(l2_pn_abstract, frustum, report=pre)
-        assert fresh == reused
-
-
 class TestPlaceOccupancy:
     def test_series_cover_the_frustum_window(self, l2_pn_abstract):
         frustum, behavior = detect_frustum(

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from repro.core import (
+    StorageAllocation,
     apply_allocation,
     balancing_ratios,
     build_sdsp_pn,
@@ -13,7 +14,12 @@ from repro.core import (
 )
 from repro.errors import AnalysisError
 from repro.loops import KERNELS
-from repro.petrinet import MarkedGraphView, cycle_time_by_enumeration, detect_frustum
+from repro.petrinet import (
+    MarkedGraphView,
+    cycle_time_by_enumeration,
+    detect_frustum,
+    howard_analysis,
+)
 
 
 class TestBalancingRatios:
@@ -106,6 +112,30 @@ class TestApplyAndVerify:
         else:
             # greedy may not have found a longer chain; nothing to test
             verify_allocation(l2_pn_abstract, allocation)
+
+    def test_dead_allocation_names_the_witness_cycle(self, l2_pn_abstract):
+        """An allocation that keeps a forward arc's buffer full (token 0
+        on its acknowledgement, as for a feedback arc) deadlocks; the
+        verifier and Howard name the same token-free cycle."""
+        allocation = optimize_storage(l2_pn_abstract, max_chain_length=1)
+        dead = allocation.chains[0].arcs[0]
+        allocation = StorageAllocation(
+            chains=allocation.chains[1:],
+            feedback_arcs=allocation.feedback_arcs + [dead],
+            baseline_locations=allocation.baseline_locations,
+        )
+        net, marking = apply_allocation(l2_pn_abstract, allocation)
+        witness = MarkedGraphView(net, marking).token_free_cycle()
+        assert set(witness.transitions) == {dead.source, dead.target}
+        named = " -> ".join(witness.transitions)
+        with pytest.raises(
+            AnalysisError, match=f"deadlocks: token-free cycle through {named}$"
+        ):
+            verify_allocation(l2_pn_abstract, allocation)
+        with pytest.raises(
+            AnalysisError, match=f"^cycle through {named} carries no token"
+        ):
+            howard_analysis(MarkedGraphView(net, marking), l2_pn_abstract.durations)
 
     @pytest.mark.parametrize("key", sorted(KERNELS))
     def test_all_kernels_verify(self, key):

@@ -8,8 +8,9 @@ end to end:
 * the SDSP-PN is a live, safe marked graph (Section 3.2's construction
   guarantees);
 * the three cycle-time algorithms agree;
-* the critical cycles counted in Howard's critical graph are the
-  critical cycles enumeration finds, unrolled or not;
+* the critical cycles counted and listed from Howard's critical graph,
+  the dash's slack and the liveness and safety checks are what
+  enumerating every cycle finds, unrolled or not;
 * the earliest-firing frustum achieves exactly the analytic optimal
   rate (time-optimality, Appendix A.7);
 * the derived schedule passes dependence verification and preserves
@@ -29,8 +30,10 @@ from hypothesis import strategies as st
 from repro import compile_loop
 from repro.digraph import simple_cycles
 from repro.core import (
+    attribute_bottlenecks,
     build_sdsp_pn,
     count_critical_cycles,
+    critical_cycles,
     dependence_cycle_time,
     derive_schedule,
     execute_schedule,
@@ -44,6 +47,7 @@ from repro.obs import stable_json
 from repro.pipeline import CompiledLoopSummary
 from repro.petrinet import (
     critical_cycle_report,
+    cycle_metrics,
     cycle_time_by_enumeration,
     cycle_time_lawler,
     detect_frustum,
@@ -206,8 +210,10 @@ class TestUnrollProperties:
     def test_critical_graph_count_matches_enumeration(
         self, source, factor, include_io
     ):
-        """The bounds count critical cycles inside Howard's critical
-        graph; enumeration of the whole net is the oracle."""
+        """Every report reads Howard's critical graph and potentials;
+        enumeration of the whole net is the oracle for the bounds'
+        count, the ``analyze``/``explain`` listing, the dash's slack
+        and Theorems A.5.1/A.5.2."""
         graph = unroll_graph(translate(parse_loop(source)).graph, factor)
         pn = build_sdsp_pn(graph, include_io=include_io)
         view = pn.view()
@@ -216,6 +222,51 @@ class TestUnrollProperties:
         report = critical_cycle_report(view, pn.durations)
         expected = len(report.critical_cycles) + len(report.critical_self_loops)
         assert count_critical_cycles(pn.howard) == (expected, False)
+
+        listing = critical_cycles(pn)
+        assert listing.cycle_time == report.cycle_time
+        assert listing.critical_cycles == report.critical_cycles
+        assert listing.critical_self_loops == report.critical_self_loops
+        assert not listing.capped
+
+        # slack(t) = min over cycles C through t of α·M(C) − Ω(C),
+        # the implicit self-loop (M = 1, Ω = τ) included
+        alpha = report.cycle_time
+        slack = {t: alpha - pn.durations[t] for t in pn.net.transition_names}
+        for metrics in cycle_metrics(view, pn.durations):
+            margin = alpha * metrics.tokens - metrics.value
+            for t in metrics.cycle.transitions:
+                slack[t] = min(slack[t], margin)
+        frustum, _ = detect_frustum(pn.timed, pn.initial)
+        attribution = attribute_bottlenecks(pn, frustum)
+        assert {row.transition: row.slack for row in attribution.transitions} == slack
+        assert attribution.critical_transitions == (
+            report.transitions_on_critical_cycles
+        )
+        # the binding cycle is a cycle through t that attains its slack
+        hops = view._transition_hops()
+        for row in attribution.transitions:
+            cycle = row.binding_cycle
+            assert row.transition in cycle
+            if len(cycle) == 1:  # the implicit self-loop or a self-place
+                places = hops[cycle[0]].get(cycle[0], [])
+                fewest = min([1] + [view.initial[p] for p in places])
+            else:
+                fewest = sum(
+                    min(view.initial[p] for p in hops[u][v])
+                    for u, v in zip(cycle, cycle[1:] + cycle[:1])
+                )
+            value = sum(pn.durations[t] for t in cycle)
+            assert alpha * fewest - value == row.slack
+
+        # Theorem A.5.1: live iff every simple cycle carries a token;
+        # Theorem A.5.2: safe iff every place lies on a token-1 cycle
+        tokens = {c: c.token_sum(view.initial) for c in view.simple_cycles()}
+        assert view.is_live() == all(tokens.values())
+        covered = {p for c, count in tokens.items() if count == 1 for p in c.places}
+        unsafe = [p for p in pn.net.place_names if p not in covered]
+        assert view.unsafe_places() == unsafe
+        assert view.is_safe() == (not unsafe)
 
     @given(source=loop_sources(), factor=st.integers(1, 3))
     @settings(max_examples=10, deadline=None,

@@ -3,11 +3,13 @@ the reference the integer implementation in
 :mod:`repro.petrinet.howard` is tested against.
 
 It runs the same policy trajectory as production (same start policy,
-same edge order, same gain-then-bias improvement and the same witness
-walk), but evaluates every gain and value as an exact ``Fraction``, so
-a scaling or cross-multiplication slip in the integer code shows up as
-a different cycle time, witness, iteration count or critical graph (the
-edges tight under the converged values).  Only tests import it.
+same edge order, same anchoring of each policy cycle's values, same
+gain-then-bias improvement and the same witness walk), but evaluates
+every gain and value as an exact ``Fraction``, so a scaling or
+cross-multiplication slip in the integer code shows up as a different
+cycle time, witness, iteration count, critical graph (the edges tight
+under the converged values) or converged potentials.  Only tests
+import it.
 """
 
 from fractions import Fraction
@@ -15,10 +17,13 @@ from typing import Dict, List, Tuple
 
 from repro.errors import AnalysisError
 from repro.petrinet import HowardResult, MarkedGraphView, SimpleCycle
-from repro.petrinet.howard import _build_edges, _require_live
+from repro.petrinet.howard import _build_edges
 
 
-def _evaluate(nodes, policy) -> Tuple[Dict[str, Fraction], Dict[str, Fraction]]:
+def _evaluate(
+    nodes, policy, previous
+) -> Tuple[Dict[str, Fraction], Dict[str, Fraction]]:
+    previous_lam, previous_val = previous
     lam: Dict[str, Fraction] = {}
     val: Dict[str, Fraction] = {}
     state = {node: 0 for node in nodes}  # 0 new, 1 open, 2 done
@@ -38,7 +43,13 @@ def _evaluate(nodes, policy) -> Tuple[Dict[str, Fraction], Dict[str, Fraction]]:
                 sum(policy[u].height for u in cycle),
             )
             anchor = cycle[0]
-            lam[anchor], val[anchor], state[anchor] = gain, Fraction(0), 2
+            lam[anchor], state[anchor] = gain, 2
+            # a kept cycle keeps its anchor's value
+            val[anchor] = (
+                previous_val[anchor]
+                if previous_lam.get(anchor) == gain
+                else Fraction(0)
+            )
             for u in reversed(cycle[1:]):
                 edge = policy[u]
                 lam[u] = gain
@@ -61,13 +72,20 @@ def howard_analysis_fraction(
     nodes = tuple(view.net.transition_names)
     if not nodes:
         raise AnalysisError("net has no transitions; cycle time undefined")
-    _require_live(view)
+    dead = view.token_free_cycle()
+    if dead is not None:
+        raise AnalysisError(
+            "cycle through "
+            + " -> ".join(dead.transitions)
+            + " carries no token: the net is not live and has no cycle time"
+        )
     out_edges = _build_edges(view, durations)
     policy = {u: out_edges[u][-1] for u in nodes}
     iterations = 0
+    lam, val = {}, {}
     while True:
         iterations += 1
-        lam, val = _evaluate(nodes, policy)
+        lam, val = _evaluate(nodes, policy, (lam, val))
         changed = False
         for u in nodes:
             best, best_gain = policy[u], lam[u]
@@ -102,6 +120,8 @@ def howard_analysis_fraction(
         if lam[edge.target] == alpha
         and val[u] == edge.weight - alpha * edge.height + val[edge.target]
     )
+    gains = {u: (lam[u].numerator, lam[u].denominator) for u in nodes}
+    values = {u: int(val[u] * lam[u].denominator) for u in nodes}
     start = min(u for u in nodes if lam[u] == alpha)
     seen: Dict[str, int] = {}
     path: List[str] = []
@@ -112,11 +132,15 @@ def howard_analysis_fraction(
         node = policy[node].target
     cycle = path[seen[node]:]
     if len(cycle) == 1 and policy[cycle[0]].place is None:
-        return HowardResult(alpha, None, cycle[0], iterations, tight)
+        return HowardResult(
+            alpha, None, cycle[0], iterations, tight, gains, values
+        )
     places = [policy[u].place for u in cycle]
     rotate = min(range(len(cycle)), key=cycle.__getitem__)
     witness = SimpleCycle(
         tuple(cycle[rotate:]) + tuple(cycle[:rotate]),
         tuple(places[rotate:]) + tuple(places[:rotate]),
     )
-    return HowardResult(alpha, witness, None, iterations, tight)
+    return HowardResult(
+        alpha, witness, None, iterations, tight, gains, values
+    )

@@ -21,6 +21,7 @@ from repro.digraph import (
     find_cycle,
     has_path,
     is_weakly_connected,
+    shortest_paths,
     simple_cycles,
     strongly_connected_components,
     topological_order,
@@ -109,6 +110,28 @@ class TestAgainstNetworkx:
     @settings(max_examples=300, deadline=None)
     def test_weak_connectivity(self, graph):
         assert is_weakly_connected(graph) == nx.is_weakly_connected(to_nx(graph))
+
+    @given(graph=digraphs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shortest_paths(self, graph, data):
+        weighted = {
+            node: {
+                succ: data.draw(st.integers(0, 5), label=f"{node}->{succ}")
+                for succ in successors
+            }
+            for node, successors in graph.items()
+        }
+        oracle = nx.DiGraph()
+        oracle.add_nodes_from(weighted)
+        oracle.add_weighted_edges_from(
+            (u, v, w) for u, targets in weighted.items() for v, w in targets.items()
+        )
+        source = data.draw(st.sampled_from(sorted(weighted)), label="source")
+        distance, predecessor = shortest_paths(weighted, source)
+        assert distance == nx.single_source_dijkstra_path_length(oracle, source)
+        assert set(predecessor) == set(distance) - {source}
+        for node, before in predecessor.items():
+            assert distance[before] + weighted[before][node] == distance[node]
 
     @given(graph=digraphs())
     @settings(max_examples=100, deadline=None)
@@ -241,3 +264,30 @@ def test_liveness_witness_is_a_token_free_cycle(marked):
     assert all(
         zero.has_edge(u, cycle[(i + 1) % len(cycle)]) for i, u in enumerate(cycle)
     )
+
+
+@given(marked=marked_graphs())
+@settings(max_examples=200, deadline=None)
+def test_liveness_and_safety_match_the_cycle_definitions(marked):
+    """Theorem A.5.1 (live iff every simple cycle carries a token) and,
+    on a live net, Theorem A.5.2 (a place is safe iff it lies on a
+    simple cycle carrying exactly one token), against networkx's
+    cycles; the views decide both without listing cycles."""
+    view = MarkedGraphView(*marked)
+    cycles = nx_place_cycles(view)
+    tokens = {places: sum(view.initial[p] for p in places) for _, places in cycles}
+    assert view.is_live() == all(tokens.values())
+    witness = view.token_free_cycle()
+    assert (witness is None) == view.is_live()
+    if witness is not None:
+        assert (witness.transitions, witness.places) in {
+            (nodes[i:] + nodes[:i], places[i:] + places[:i])
+            for nodes, places in cycles
+            for i in range(len(nodes))
+        }
+        assert witness.token_sum(view.initial) == 0
+        return
+    covered = {p for places, count in tokens.items() if count == 1 for p in places}
+    unsafe = [p for p in view.net.place_names if p not in covered]
+    assert view.unsafe_places() == unsafe
+    assert view.is_safe() == (not unsafe)
