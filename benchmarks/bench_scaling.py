@@ -20,6 +20,13 @@ pipeline of depth l ∈ {4, 8} (the SDSP-SCP-PN of §5.2) under
 the FIFO queue in the state and the pipeline's dummy transitions are
 what make SCP detection the slowest simulation of a compile.
 
+A third sweep times construction on a big loop: one cold compile of
+the A-code ``chain_source(n, recurrence=True)`` at n ∈ {100, 200, 400,
+800}, whose ``translate``, ``rate_analysis`` and ``build_pn`` stages
+build, validate and analyse graphs and nets of ~3n instructions.  Each
+must grow at most :data:`CONSTRUCTION_GROWTH` times from n = 400 to
+800: construction is linear in the loop.
+
 Every size runs under both the step and the event engine; the payload
 records only facts the two engines are asserted to agree on (frustum
 boundaries, event counts), so the regression gate sees one
@@ -32,6 +39,7 @@ sparse family at the largest size must show the event engine at least
 
 from __future__ import annotations
 
+import gc
 import time
 from fractions import Fraction
 
@@ -39,6 +47,7 @@ import pytest
 
 from benchmarks.conftest import phase_timings, save_artifact, save_json
 from repro.batch.manifest import chain_source
+from repro.compiler.manager import PassManager, make_request
 from repro.core import build_sdsp_pn, build_sdsp_scp_pn
 from repro.loops import parse_loop, translate
 from repro.machine import FifoRunPlacePolicy
@@ -60,6 +69,13 @@ SPEEDUP_FLOOR = 5.0  # sparse family, largest n: event vs step wall clock
 SCP_FAMILIES = [("chain", False), ("recurrence", True)]
 SCP_SIZES = [4, 8, 16, 32]
 SCP_STAGES = [4, 8]
+# construction sweep: A-code recurrence chains, the stages that build
+# and analyse graphs and nets, and their growth ceiling per doubling
+# from the second-largest size to the largest
+CONSTRUCTION_SIZES = [100, 200, 400, 800]
+CONSTRUCTION_STAGES = ("translate", "rate_analysis", "build_pn")
+CONSTRUCTION_GROWTH = 2.5
+CONSTRUCTION_REPEATS = 3
 
 
 def build(n: int, recurrence: bool, tau: int = 1):
@@ -313,3 +329,72 @@ def test_detection_scaling_speed(benchmark, n, family, engine):
     benchmark.extra_info["n"] = pn.size
     benchmark.extra_info["engine"] = engine
     benchmark.extra_info["repeat_time"] = frustum.repeat_time
+
+
+def construction_row(n):
+    """One A-code ``chain_source(n, recurrence=True)`` compiled cold
+    :data:`CONSTRUCTION_REPEATS` times, with the cyclic GC off while
+    timing: the payload's structure and rate, and each construction
+    stage's fastest self time (seconds)."""
+    request = make_request(chain_source(n, recurrence=True), include_io=True)
+    best = {}
+    for _ in range(CONSTRUCTION_REPEATS):
+        manager = PassManager(request)
+        gc.collect()
+        gc.disable()
+        try:
+            manager.run()
+        finally:
+            gc.enable()
+        for stage in CONSTRUCTION_STAGES:
+            seconds = manager.timings[f"stage.{stage}"]
+            best[stage] = min(best.get(stage, seconds), seconds)
+    payload = manager.data("summarize")["payload"]
+    row = {
+        "n": n,
+        "n_transitions": payload["n_transitions"],
+        "net_size": payload["net_size"],
+        "rate": payload["rate"],
+    }
+    return row, best
+
+
+def test_scaling_construction(benchmark):
+    """Construction is linear: from n = 400 to n = 800 each of the
+    ``translate``, ``rate_analysis`` and ``build_pn`` self times grows
+    at most :data:`CONSTRUCTION_GROWTH` times (a quadratic stage grows
+    about 4 times)."""
+    benchmark.group = "reports"
+    measured = benchmark.pedantic(
+        lambda: [construction_row(n) for n in CONSTRUCTION_SIZES],
+        rounds=1,
+        iterations=1,
+    )
+    rows = [row for row, _ in measured]
+    times = {row["n"]: best for row, best in measured}
+    save_json(
+        "scaling_construction.json",
+        {
+            "bench": "scaling_construction",
+            "loop": "chain_source(n, recurrence=True), A-code",
+            "sizes": CONSTRUCTION_SIZES,
+            "rows": rows,
+        },
+        phases={
+            f"construction.{stage}.n{n}": {
+                "count": 1,
+                "total": best[stage],
+                "mean": best[stage],
+            }
+            for n, best in times.items()
+            for stage in CONSTRUCTION_STAGES
+        },
+    )
+    small, large = CONSTRUCTION_SIZES[-2:]
+    for stage in CONSTRUCTION_STAGES:
+        growth = times[large][stage] / times[small][stage]
+        benchmark.extra_info[f"{stage}_growth"] = round(growth, 2)
+        assert growth <= CONSTRUCTION_GROWTH, (
+            f"{stage} grew {growth:.1f}x from n={small} to n={large} "
+            f"(ceiling {CONSTRUCTION_GROWTH}x): construction is not linear"
+        )

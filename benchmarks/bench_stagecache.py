@@ -12,10 +12,13 @@ store.
 
 Acceptance headline: the warm upstream-hit recompile must be at least
 2x faster than the same request against a cold store, and both must
-produce byte-identical payloads.  The telemetry lands in a
-``kind="stagecache"`` run record: the deterministic stage outcomes and
-payload digest under ``payload``, the volatile wall clocks under
-``timing``.
+produce byte-identical payloads.  Both walls are a few milliseconds, so
+the scenario runs :data:`REPEATS` times, each with a fresh cold store
+and a freshly auto-warmed one; every run must show the same outcomes
+and bytes, and each side is timed as its minimum over the runs.  The
+telemetry lands in a ``kind="stagecache"`` run record: the
+deterministic stage outcomes and payload digest under ``payload``, the
+volatile wall clocks under ``timing``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ LOOP_FILE = (
     pathlib.Path(__file__).parent.parent / "examples" / "interleave.loop"
 )
 WARM_SPEEDUP_FLOOR = 2.0  # upstream-hit recompile vs cold, same request
+REPEATS = 9  # scenario runs; each timed side is its minimum over them
 
 
 def staged(source, store, **kwargs):
@@ -45,9 +49,9 @@ def staged(source, store, **kwargs):
 def test_upstream_hit_recompile(benchmark, tmp_path):
     source = LOOP_FILE.read_text(encoding="utf-8")
 
-    def scenario():
-        # the auto compile warms the store (and resolves the factor)
-        warm_store = ArtifactStore(tmp_path / "warm")
+    def scenario(repeat):
+        # the auto compile warms a fresh store (and resolves the factor)
+        warm_store = ArtifactStore(tmp_path / f"warm{repeat}")
         auto_payload, _, auto_wall = staged(
             source, warm_store, unroll="auto"
         )
@@ -55,7 +59,7 @@ def test_upstream_hit_recompile(benchmark, tmp_path):
 
         # cold reference: the explicit request against an empty store
         cold_payload, cold_outcomes, cold_wall = staged(
-            source, ArtifactStore(tmp_path / "cold"), unroll=factor
+            source, ArtifactStore(tmp_path / f"cold{repeat}"), unroll=factor
         )
         # warm measurement: same request, upstream artifacts present
         warm_payload, warm_outcomes, warm_wall = staged(
@@ -70,29 +74,46 @@ def test_upstream_hit_recompile(benchmark, tmp_path):
         }
 
     benchmark.group = "stage cache"
-    run = benchmark.pedantic(scenario, rounds=1, iterations=1)
-
-    auto_payload, cold_payload, warm_payload = run["payloads"]
-    cold_outcomes, warm_outcomes = run["outcomes"]
-    walls = run["walls"]
-
-    # Byte-identity: the cache changes cost, never bytes.
-    assert stable_json(cold_payload) == stable_json(warm_payload)
-    assert run["factor"] > 1, "interleave must need unrolling"
-
-    # The cold run computed everything; the warm run recomputed only
-    # the unroll stage (different params, convergent fingerprint) and
-    # the non-cacheable summarize.
-    assert set(cold_outcomes.values()) == {"computed"}
-    recomputed = sorted(
-        stage
-        for stage, outcome in warm_outcomes.items()
-        if outcome == "computed"
+    runs = benchmark.pedantic(
+        lambda: [scenario(repeat) for repeat in range(REPEATS)],
+        rounds=1,
+        iterations=1,
     )
-    assert recomputed == ["summarize", "unroll"], warm_outcomes
-    for stage in ("build_pn", "simulate", "extract_kernel", "rate",
-                  "verify"):
-        assert warm_outcomes[stage] == "hit", warm_outcomes
+
+    for run in runs:
+        auto_payload, cold_payload, warm_payload = run["payloads"]
+        cold_outcomes, warm_outcomes = run["outcomes"]
+
+        # Byte-identity: the cache changes cost, never bytes.
+        assert stable_json(cold_payload) == stable_json(warm_payload)
+        assert stable_json(warm_payload) == stable_json(
+            runs[0]["payloads"][2]
+        )
+        assert run["factor"] > 1, "interleave must need unrolling"
+
+        # The cold run computed everything; the warm run recomputed
+        # only the unroll stage (different params, convergent
+        # fingerprint) and the non-cacheable summarize.
+        assert set(cold_outcomes.values()) == {"computed"}
+        recomputed = sorted(
+            stage
+            for stage, outcome in warm_outcomes.items()
+            if outcome == "computed"
+        )
+        assert recomputed == ["summarize", "unroll"], warm_outcomes
+        for stage in ("build_pn", "simulate", "extract_kernel", "rate",
+                      "verify"):
+            assert warm_outcomes[stage] == "hit", warm_outcomes
+
+    # each side's wall is its fastest repeat, so one slow run (a GC
+    # pause, a busy host) cannot decide the gate
+    walls = {
+        name: min(each["walls"][name] for each in runs)
+        for name in ("auto", "cold", "warm")
+    }
+    run = runs[0]
+    warm_payload = run["payloads"][2]
+    warm_outcomes = run["outcomes"][1]
 
     digest = hashlib.sha256(
         stable_json(warm_payload).encode("utf-8")

@@ -8,7 +8,7 @@ stage               does                                            paper
 ==================  ==============================================  =======
 ``parse``           loop text -> loop IR                            §2
 ``translate``       dependence analysis + SDSP dataflow lowering    §3.2
-``rate_analysis``   dependence bound γ* (Howard, ack-free subnet)   §4.2
+``rate_analysis``   dependence bound γ* (Howard, data edges)        §4.2
 ``unroll``          factor selection + mod-U graph rewiring         §4.2
 ``build_pn``        SDSP-PN construction                            §3.3
 ``simulate``        earliest-firing behavior, cyclic frustum        §4.1
@@ -55,19 +55,17 @@ from ..core.rate import (
 )
 from ..core.schedule import derive_schedule
 from ..core.scp import build_sdsp_scp_pn
-from ..core.sdsp_pn import build_sdsp_pn
+from ..core.sdsp import Sdsp
+from ..core.sdsp_pn import build_sdsp_pn, sdsp_pn_table
 from ..core.verify import verify_schedule
 from ..errors import AnalysisError
 from ..loops.parser import parse_loop
 from ..loops.translate import translate
-from ..loops.unroll import (
-    MAX_UNROLL,
-    base_firing_totals,
-    unroll_graph,
-)
+from ..loops.unroll import MAX_UNROLL, base_firing_totals
 from ..machine.policies import FifoRunPlacePolicy
 from ..obs.schema import normalize_value
 from ..petrinet.behavior import detect_frustum
+from ..petrinet.howard import howard_table_analysis
 from .artifacts import graph_dump, loop_dump, net_dump
 from .result import (
     PAYLOAD_SCHEMA_VERSION,
@@ -185,17 +183,26 @@ class Stage:
 # Shared analysis helpers (used by stage computes and re-exported for
 # the pipeline façade)
 # ----------------------------------------------------------------------
-def select_unroll(graph, bound: Fraction, include_io: bool) -> int:
+def select_unroll(
+    source, bound: Fraction, include_io: bool
+) -> Tuple[int, Sdsp]:
     """The smallest unroll factor whose unrolled net is rate-optimal
-    per *base* instruction: ``U * optimal_rate(unroll(g, U)) ==
-    dependence_bound_rate(g)`` (Howard-only analysis per candidate; no
-    simulation happens until the factor is chosen)."""
+    per *base* instruction, ``U / α(unroll(g, U)) ==
+    dependence_bound_rate(g)``, with the unrolled SDSP it chose.  Each
+    candidate is its SDSP-PN's edge table, analysed by Howard: no net is
+    built, no candidate is validated (unrolling keeps an SDSP valid),
+    and no simulation happens until the factor is chosen.  ``source``
+    is an :class:`~repro.core.sdsp.Sdsp` or a raw dataflow graph,
+    validated on the way in."""
+    sdsp = source if isinstance(source, Sdsp) else Sdsp(source)
     for factor in range(1, MAX_UNROLL + 1):
-        candidate = build_sdsp_pn(
-            unroll_graph(graph, factor), include_io=include_io
-        )
-        if factor * optimal_rate(candidate) == bound:
-            return factor
+        candidate = sdsp.unrolled(factor) if factor > 1 else sdsp
+        table = sdsp_pn_table(candidate, include_io=include_io)
+        alpha = howard_table_analysis(
+            table.transitions, table.edges, table.durations
+        ).cycle_time
+        if factor / alpha == bound:
+            return factor, candidate
     raise AnalysisError(
         f"no unroll factor up to {MAX_UNROLL} closes the rate gap to "
         f"the dependence bound {bound}; pass an explicit unroll factor"
@@ -250,13 +257,15 @@ def _parse(ctx: StageContext) -> StageOutput:
 def _translate(ctx: StageContext) -> StageOutput:
     translation = translate(ctx.live("parse", "loop"), ctx.request.scalars)
     graph = translation.graph
+    # the compile's one validation: later stages take this SDSP
+    sdsp = Sdsp(graph)
     return StageOutput(
         data={
             "loop": translation.loop.name,
             "n_actors": len(graph.actors),
             "n_arcs": len(graph.arcs),
         },
-        live={"translation": translation, "graph": graph},
+        live={"translation": translation, "sdsp": sdsp},
         content=lambda: {
             "graph": graph_dump(graph),
             "scalar_bindings": dict(translation.scalar_bindings),
@@ -272,7 +281,7 @@ def _translate(ctx: StageContext) -> StageOutput:
 
 def _rate_analysis(ctx: StageContext) -> StageOutput:
     bound = dependence_bound_rate(
-        ctx.live("translate", "graph"), include_io=ctx.request.include_io
+        ctx.live("translate", "sdsp"), include_io=ctx.request.include_io
     )
     return StageOutput(
         data={
@@ -285,29 +294,30 @@ def _rate_analysis(ctx: StageContext) -> StageOutput:
 
 def _unroll(ctx: StageContext) -> StageOutput:
     requested = ctx.request.unroll
-    graph = ctx.live("translate", "graph")
+    sdsp = ctx.live("translate", "sdsp")
     if requested == "auto":
         bound = fraction_from(ctx.data("rate_analysis")["dependence_bound"])
-        factor = select_unroll(
-            graph, bound, include_io=ctx.request.include_io
+        factor, unrolled = select_unroll(
+            sdsp, bound, include_io=ctx.request.include_io
         )
     else:
         factor = requested
-    unrolled = unroll_graph(graph, factor) if factor > 1 else graph
+        unrolled = sdsp.unrolled(factor) if factor > 1 else sdsp
+    graph = unrolled.graph
     return StageOutput(
         data={
             "factor": factor,
-            "n_actors": len(unrolled.actors),
-            "n_arcs": len(unrolled.arcs),
+            "n_actors": len(graph.actors),
+            "n_arcs": len(graph.arcs),
         },
-        live={"graph": unrolled, "factor": factor},
-        content=lambda: {"factor": factor, "graph": graph_dump(unrolled)},
+        live={"sdsp": unrolled, "factor": factor},
+        content=lambda: {"factor": factor, "graph": graph_dump(graph)},
     )
 
 
 def _build_pn(ctx: StageContext) -> StageOutput:
     pn = build_sdsp_pn(
-        ctx.live("unroll", "graph"), include_io=ctx.request.include_io
+        ctx.live("unroll", "sdsp"), include_io=ctx.request.include_io
     )
     return StageOutput(
         data={

@@ -19,7 +19,9 @@ _EXPORTS = {
         "observed_critical_path", "windowed_cycle_times", "write_flow_trace",
     ),
     "sdsp": ("AckArc", "Sdsp"),
-    "sdsp_pn": ("SdspPetriNet", "build_sdsp_pn"),
+    "sdsp_pn": (
+        "SdspPetriNet", "SdspPnTable", "build_sdsp_pn", "sdsp_pn_table",
+    ),
     "scp": ("RUN_PLACE", "SdspScpNet", "build_sdsp_scp_pn"),
     "frustum": ("SteadyStateNet", "steady_state_equivalent_net"),
     "schedule": ("PipelinedSchedule", "ScheduledOp", "derive_schedule"),

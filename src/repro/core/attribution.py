@@ -154,13 +154,11 @@ def _slack(
     gains, values = howard.gains, howard.values
     cost: Dict[str, Dict[str, int]] = {t: {} for t in pn.net.transition_names}
     closing: Dict[str, Dict[str, int]] = {t: {} for t in pn.net.transition_names}
-    for place in pn.net.place_names:
-        (u,) = pn.net.input_transitions(place)
-        (v,) = pn.net.output_transitions(place)
+    for _, u, v, tokens in pn.edges:
         if gains[u] != gains[v]:
             continue
         den = gains[u][1]
-        reduced = (a * pn.initial[place] - b * pn.durations[u]) * den + b * (
+        reduced = (a * tokens - b * pn.durations[u]) * den + b * (
             values[u] - values[v]
         )
         if reduced < cost[u].get(v, reduced + 1):

@@ -29,11 +29,11 @@ from typing import List
 from ..errors import AnalysisError
 from ..obs.metrics import timed
 from ..petrinet.behavior import CyclicFrustum
-from ..petrinet.howard import check_certificate
+from ..petrinet.howard import check_certificate, howard_table_analysis
 from ..petrinet.marked_graph import SimpleCycle, expand_node_cycle
 from .bounds import CRITICAL_CYCLE_BUDGET
 from .scp import SdspScpNet
-from .sdsp_pn import SdspPetriNet, build_sdsp_pn
+from .sdsp_pn import SdspPetriNet, sdsp_pn_table
 
 __all__ = [
     "CriticalCycles",
@@ -151,7 +151,9 @@ def dependence_cycle_time(source, include_io: bool = True,
     """Cycle time of the *dependence subnet*: data places only, the
     acknowledgement discipline stripped.
 
-    Howard's policy iteration models non-reentrance as an implicit
+    Howard's policy iteration runs over the data rows of the SDSP-PN's
+    edge table (:attr:`~repro.core.sdsp_pn.SdspPnTable.data_edges`),
+    with no net built, and models non-reentrance as an implicit
     self-loop of weight ``τ(t)`` and height 1 per transition, so the
     analysis stays well-defined even when the data arcs alone are
     acyclic (a DOALL body): the answer is then just ``max τ``.  For a
@@ -162,13 +164,10 @@ def dependence_cycle_time(source, include_io: bool = True,
     :class:`~repro.dataflow.graph.DataflowGraph` (validated on the way
     in), mirroring :func:`~repro.core.sdsp_pn.build_sdsp_pn`.
     """
-    pn = build_sdsp_pn(
-        source,
-        durations=durations,
-        include_acks=False,
-        include_io=include_io,
-    )
-    return pn.howard.cycle_time
+    table = sdsp_pn_table(source, durations=durations, include_io=include_io)
+    return howard_table_analysis(
+        table.transitions, table.data_edges, table.durations
+    ).cycle_time
 
 
 def dependence_bound_rate(source, include_io: bool = True,

@@ -28,11 +28,12 @@ adjacency-list scheme the paper simulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import NetConstructionError
 from ..petrinet.marking import Marking
-from ..petrinet.net import PetriNet
+from ..petrinet.net import PetriNet, PlaceRow
 from ..petrinet.timed import TimedPetriNet
 from .sdsp_pn import SdspPetriNet
 
@@ -99,40 +100,24 @@ def build_sdsp_scp_pn(
         raise NetConstructionError(f"pipeline needs >= 1 stage, got {stages}")
 
     source_net = base.net
-    net = PetriNet(f"{source_net.name}-scp{stages}")
+    instructions = source_net.transition_names
+    rows: List[PlaceRow] = []
     tokens: Dict[str, int] = {}
-    durations: Dict[str, int] = {}
+    durations: Dict[str, int] = dict.fromkeys(instructions, 1)
     dummies: List[str] = []
 
-    for transition in source_net.transition_names:
-        net.add_transition(transition, annotation="sdsp")
-        durations[transition] = 1
-
-    for place_obj in source_net.places:
-        place = place_obj.name
-        (producer,) = source_net.input_transitions(place)
-        (consumer,) = source_net.output_transitions(place)
-        initial_tokens = base.initial[place]
-        expand = stages > 1 and (
-            expand_ack_places or place_obj.annotation != "ack"
-        )
-        if not expand:
-            net.add_place(place, annotation=place_obj.annotation)
-            net.add_arc(producer, place)
-            net.add_arc(place, consumer)
+    for place, producer, consumer, initial_tokens in base.edges:
+        annotation = source_net.annotation(place)
+        if stages == 1 or (not expand_ack_places and annotation == "ack"):
+            rows.append((place, annotation, (producer,), (consumer,)))
             if initial_tokens:
                 tokens[place] = initial_tokens
             continue
+        # producer -> place (the head) -> dummy -> tail -> consumer
         dummy = f"delay[{place}]"
-        head = place  # producer -> head -> dummy
-        tail = f"{place}~ready"  # dummy -> tail -> consumer
-        net.add_place(head, annotation=place_obj.annotation)
-        net.add_transition(dummy, annotation="dummy")
-        net.add_place(tail, annotation=place_obj.annotation)
-        net.add_arc(producer, head)
-        net.add_arc(head, dummy)
-        net.add_arc(dummy, tail)
-        net.add_arc(tail, consumer)
+        tail = f"{place}~ready"
+        rows.append((place, annotation, (producer,), (dummy,)))
+        rows.append((tail, annotation, (dummy,), (consumer,)))
         durations[dummy] = stages - 1
         dummies.append(dummy)
         if initial_tokens:
@@ -141,11 +126,16 @@ def build_sdsp_scp_pn(
             tokens[tail] = initial_tokens
 
     # Run place: one issue slot shared by all instruction transitions.
-    net.add_place(RUN_PLACE, annotation="run")
+    rows.append((RUN_PLACE, "run", instructions, instructions))
     tokens[RUN_PLACE] = 1
-    for transition in source_net.transition_names:
-        net.add_arc(RUN_PLACE, transition)
-        net.add_arc(transition, RUN_PLACE)
+    net = PetriNet.from_rows(
+        f"{source_net.name}-scp{stages}",
+        chain(
+            ((t, "sdsp") for t in instructions),
+            ((dummy, "dummy") for dummy in dummies),
+        ),
+        rows,
+    )
 
     return SdspScpNet(
         base=base,
@@ -153,6 +143,6 @@ def build_sdsp_scp_pn(
         initial=Marking(tokens, net),
         durations=durations,
         stages=stages,
-        sdsp_transitions=tuple(source_net.transition_names),
+        sdsp_transitions=instructions,
         dummy_transitions=tuple(dummies),
     )

@@ -53,11 +53,28 @@ class AckArc:
 
 
 class Sdsp:
-    """A validated static dataflow software pipeline."""
+    """A validated static dataflow software pipeline.
+
+    The graph is validated once, when the SDSP is built; an SDSP
+    derived from a valid one by :meth:`unrolled` is valid by
+    construction and is not validated again.
+    """
 
     def __init__(self, graph: DataflowGraph) -> None:
         require_valid(graph)
         self._graph = graph
+
+    def unrolled(self, factor: int) -> "Sdsp":
+        """This SDSP unrolled ``factor`` times
+        (:func:`~repro.loops.unroll.unroll_graph`).  Unrolling keeps a
+        valid SDSP valid — the argument is in ``unroll_graph``'s
+        docstring, and a property test checks it — so the unrolled graph
+        is not validated again."""
+        from ..loops.unroll import unroll_graph
+
+        unrolled = Sdsp.__new__(Sdsp)
+        unrolled._graph = unroll_graph(self._graph, factor)
+        return unrolled
 
     @property
     def graph(self) -> DataflowGraph:

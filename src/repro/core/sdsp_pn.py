@@ -12,6 +12,18 @@ construction and are re-checked (not assumed) by the test suite:
    dataflow graph and therefore has exactly one producer and one
    consumer.
 
+So the net is its *edge table*: one row ``(place, producer, consumer,
+tokens)`` per place (:data:`~repro.petrinet.marked_graph.EdgeRow`),
+the weighted edge list of its transition digraph.
+:func:`sdsp_pn_table` writes the rows in one pass over the arcs, with
+no net built — which is all Howard needs for the dependence bound and
+for each ``--unroll auto`` candidate — and :func:`build_sdsp_pn` turns
+them into the simulator's :class:`~repro.petrinet.net.PetriNet` in one
+bulk pass.  The table travels with the net (:attr:`SdspPetriNet.edges`),
+and every analysis of the net reads it: Howard and its certificate,
+liveness and safety, the schedule's dependence proof and the SCP
+expansion.
+
 >>> from repro.loops import parse_loop, translate
 >>> pn = build_sdsp_pn(translate(parse_loop(
 ...     "do tiny:\\n  A[i] = A[i-1] + IN[i]")).graph, include_io=False)
@@ -19,28 +31,56 @@ construction and are re-checked (not assumed) by the test suite:
 1
 >>> sorted(pn.durations.values())
 [1]
+>>> pn.edges                     # the accumulator's self-arc: no ack
+(('d[A.0->A.0]', 'A', 'A', 1),)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
+from ..dataflow.actors import ActorKind
 from ..dataflow.graph import DataArc, DataflowGraph
 from ..errors import NetConstructionError
 from ..petrinet import howard
-from ..petrinet.marked_graph import MarkedGraphView
+from ..petrinet.marked_graph import EdgeRow, MarkedGraphView, edge_table
 from ..petrinet.marking import Marking
 from ..petrinet.net import PetriNet
 from ..petrinet.timed import TimedPetriNet
-from .sdsp import AckArc, Sdsp
+from .sdsp import Sdsp
 
-__all__ = ["SdspPetriNet", "build_sdsp_pn"]
+__all__ = ["SdspPetriNet", "SdspPnTable", "build_sdsp_pn", "sdsp_pn_table"]
 
 DATA_PREFIX = "d"
 ACK_PREFIX = "a"
+
+
+class SdspPnTable(NamedTuple):
+    """An SDSP-PN as its edge table, without the net.
+
+    ``transitions`` are the instruction transitions in net order and
+    ``durations`` their execution times ``Ω``; ``edges`` holds one
+    :data:`~repro.petrinet.marked_graph.EdgeRow` per place in net
+    order: the data places in arc order (:attr:`data_edges`), then the
+    acknowledgement places.  ``data_place_of`` / ``ack_place_of`` are
+    :class:`SdspPetriNet`'s.
+    """
+
+    sdsp: Sdsp
+    transitions: Tuple[str, ...]
+    durations: Dict[str, int]
+    edges: Tuple[EdgeRow, ...]
+    data_place_of: Dict[str, str]
+    ack_place_of: Dict[str, str]
+
+    @property
+    def data_edges(self) -> Tuple[EdgeRow, ...]:
+        """The data places' rows: the dependence subnet, without the
+        acknowledgement discipline."""
+        return self.edges[: len(self.data_place_of)]
 
 
 @dataclass
@@ -52,7 +92,10 @@ class SdspPetriNet:
       to its data (resp. acknowledgement) place;
     * every transition name equals its instruction node name;
     * ``durations`` is the ``Ω`` function (unit by default, matching the
-      paper's experiments).
+      paper's experiments);
+    * ``edges`` is the net's edge table, one row per place in net order
+      (:func:`sdsp_pn_table`); a net built elsewhere gets it derived
+      from the net, which checks it is a marked graph.
     """
 
     sdsp: Sdsp
@@ -61,14 +104,20 @@ class SdspPetriNet:
     durations: Dict[str, int]
     data_place_of: Dict[str, str]
     ack_place_of: Dict[str, str]
+    edges: Optional[Tuple[EdgeRow, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.edges is None:
+            self.edges = edge_table(self.net, self.initial)
 
     @property
     def timed(self) -> TimedPetriNet:
         return TimedPetriNet(self.net, self.durations)
 
     def view(self) -> MarkedGraphView:
-        """Marked-graph analysis view (liveness, safety, Howard)."""
-        return MarkedGraphView(self.net, self.initial)
+        """Marked-graph analysis view (liveness, safety, Howard) over
+        the net's edge table."""
+        return MarkedGraphView(self.net, self.initial, self.edges)
 
     @cached_property
     def howard(self) -> howard.HowardResult:
@@ -102,27 +151,99 @@ class SdspPetriNet:
         return None
 
 
+def sdsp_pn_table(
+    source: "Sdsp | DataflowGraph",
+    durations: Optional[Mapping[str, int]] = None,
+    include_io: bool = True,
+    buffer_capacity: int = 1,
+) -> SdspPnTable:
+    """The SDSP-PN of ``source`` as its edge table, in one pass over the
+    arcs and with no net built; :func:`build_sdsp_pn` documents the
+    parameters.  A raw dataflow graph is validated on the way in; an
+    :class:`~repro.core.sdsp.Sdsp` is not validated again."""
+    if buffer_capacity < 1:
+        raise NetConstructionError(
+            f"buffer capacity must be >= 1, got {buffer_capacity}"
+        )
+
+    sdsp = source if isinstance(source, Sdsp) else Sdsp(source)
+    graph = sdsp.graph
+    arcs = graph.arcs
+    if include_io:
+        transitions = graph.actor_names
+    else:
+        io = (ActorKind.LOAD, ActorKind.STORE)
+        transitions = tuple(
+            actor.name for actor in graph.actors if actor.kind not in io
+        )
+        kept = set(transitions)
+        arcs = [a for a in arcs if a.source in kept and a.target in kept]
+    if not transitions:
+        raise NetConstructionError(
+            "abstract mode dropped every node; the loop body has no "
+            "compute instructions"
+        )
+
+    data_rows: List[EdgeRow] = []
+    ack_rows: List[EdgeRow] = []
+    data_place_of: Dict[str, str] = {}
+    ack_place_of: Dict[str, str] = {}
+    for arc in arcs:
+        identifier = arc.identifier
+        data_place = f"{DATA_PREFIX}[{identifier}]"
+        data_place_of[identifier] = data_place
+        data_rows.append(
+            (data_place, arc.source, arc.target, arc.initial_tokens)
+        )
+        if arc.source == arc.target:
+            # Self-arcs (scalar accumulators) need no ack: the
+            # transition's non-reentrance bounds the buffer, and a
+            # reversed ack would be a token-free (dead) cycle.
+            continue
+        ack_place = f"{ACK_PREFIX}[{identifier}]"
+        ack_place_of[identifier] = ack_place
+        ack_rows.append(
+            (ack_place, arc.target, arc.source,
+             buffer_capacity - arc.initial_tokens)
+        )
+
+    if durations is None:
+        duration_map = dict.fromkeys(transitions, 1)
+    else:
+        duration_map = {}
+        for node in transitions:
+            if node not in durations:
+                raise NetConstructionError(
+                    f"no execution time supplied for instruction {node!r}"
+                )
+            duration_map[node] = int(durations[node])
+
+    return SdspPnTable(
+        sdsp=sdsp,
+        transitions=tuple(transitions),
+        durations=duration_map,
+        edges=tuple(data_rows + ack_rows),
+        data_place_of=data_place_of,
+        ack_place_of=ack_place_of,
+    )
+
+
 def build_sdsp_pn(
     source: "Sdsp | DataflowGraph",
     durations: Optional[Mapping[str, int]] = None,
-    include_acks: bool = True,
     include_io: bool = True,
     buffer_capacity: int = 1,
 ) -> SdspPetriNet:
     """Translate an SDSP (or a raw dataflow graph, validated on the way
-    in) into its SDSP-PN.
+    in) into its SDSP-PN: the rows of :func:`sdsp_pn_table`, turned
+    into a net in one bulk pass (:meth:`~repro.petrinet.net.PetriNet.
+    from_rows`).
 
     Parameters
     ----------
     durations:
         Execution time per instruction; defaults to one cycle each, the
         setting of all the paper's examples and measurements.
-    include_acks:
-        When False the acknowledgement places are omitted.  The
-        resulting net is *not* safe (forward places are unbounded) and
-        models an idealised machine with infinite buffering; it exists
-        for the ablation benchmark that isolates the cost of the
-        one-token-per-arc discipline.
     include_io:
         When True (default, "A-code mode") array LOAD/STORE actors are
         instruction transitions like any other — as in the paper's
@@ -142,85 +263,22 @@ def build_sdsp_pn(
         measures how the extra buffering lifts the DOALL rate from 1/2
         towards 1.
     """
-    from ..dataflow.actors import ActorKind
-
-    if buffer_capacity < 1:
-        raise NetConstructionError(
-            f"buffer capacity must be >= 1, got {buffer_capacity}"
-        )
-
-    sdsp = source if isinstance(source, Sdsp) else Sdsp(source)
-    graph = sdsp.graph
-
-    def is_io(node: str) -> bool:
-        return graph.actor(node).kind in (ActorKind.LOAD, ActorKind.STORE)
-
-    kept_nodes = [
-        node for node in sdsp.nodes if include_io or not is_io(node)
-    ]
-    if not kept_nodes:
-        raise NetConstructionError(
-            "abstract mode dropped every node; the loop body has no "
-            "compute instructions"
-        )
-    kept_set = set(kept_nodes)
-
-    net = PetriNet(f"{sdsp.name}-pn")
-    tokens: Dict[str, int] = {}
-    data_place_of: Dict[str, str] = {}
-    ack_place_of: Dict[str, str] = {}
-
-    for node in kept_nodes:
-        net.add_transition(node, annotation="sdsp")
-
-    kept_arcs = [
-        arc
-        for arc in sdsp.all_data_arcs
-        if arc.source in kept_set and arc.target in kept_set
-    ]
-
-    for arc in kept_arcs:
-        data_place = f"{DATA_PREFIX}[{arc.identifier}]"
-        net.add_place(data_place, annotation="data")
-        net.add_arc(arc.source, data_place)
-        net.add_arc(data_place, arc.target)
-        data_place_of[arc.identifier] = data_place
-        if arc.initial_tokens:
-            tokens[data_place] = arc.initial_tokens
-
-    if include_acks:
-        for arc in kept_arcs:
-            if arc.source == arc.target:
-                # Self-arcs (scalar accumulators) need no ack: the
-                # transition's non-reentrance bounds the buffer, and a
-                # reversed ack would be a token-free (dead) cycle.
-                continue
-            ack = AckArc(arc.target, arc.source, arc)
-            ack_place = f"{ACK_PREFIX}[{ack.data_arc.identifier}]"
-            net.add_place(ack_place, annotation="ack")
-            net.add_arc(ack.source, ack_place)
-            net.add_arc(ack_place, ack.target)
-            ack_place_of[ack.data_arc.identifier] = ack_place
-            ack_tokens = buffer_capacity - arc.initial_tokens
-            if ack_tokens:
-                tokens[ack_place] = ack_tokens
-
-    if durations is None:
-        duration_map = {node: 1 for node in kept_nodes}
-    else:
-        duration_map = {}
-        for node in kept_nodes:
-            if node not in durations:
-                raise NetConstructionError(
-                    f"no execution time supplied for instruction {node!r}"
-                )
-            duration_map[node] = int(durations[node])
-
+    table = sdsp_pn_table(source, durations, include_io, buffer_capacity)
+    data = len(table.data_place_of)
+    net = PetriNet.from_rows(
+        f"{table.sdsp.name}-pn",
+        [(transition, "sdsp") for transition in table.transitions],
+        chain(
+            ((p, "data", (u,), (v,)) for p, u, v, _ in table.edges[:data]),
+            ((p, "ack", (u,), (v,)) for p, u, v, _ in table.edges[data:]),
+        ),
+    )
     return SdspPetriNet(
-        sdsp=sdsp,
+        sdsp=table.sdsp,
         net=net,
-        initial=Marking(tokens, net),
-        durations=duration_map,
-        data_place_of=data_place_of,
-        ack_place_of=ack_place_of,
+        initial=Marking({p: m for p, _, _, m in table.edges if m}, net),
+        durations=table.durations,
+        data_place_of=table.data_place_of,
+        ack_place_of=table.ack_place_of,
+        edges=table.edges,
     )

@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..dataflow.graph import DataArc
 from ..errors import AnalysisError
-from ..petrinet.howard import howard_analysis
+from ..petrinet.howard import howard_analysis, howard_table_analysis
 from ..petrinet.marked_graph import MarkedGraphView
 from ..petrinet.marking import Marking
 from ..petrinet.net import PetriNet
@@ -355,9 +355,10 @@ def balance_buffers(
     loop's own values (fixed tokens), and non-reentrance floors the
     period at the slowest operation, while buffering can fix everything
     else.  That period, ``max(max τ, RecMII)``, is the cycle time of
-    the net's acknowledgement-free subnet
-    (:func:`~repro.core.rate.dependence_cycle_time`), whose implicit
-    self-loops give the ``max τ`` floor.  Self-arcs (accumulators) are
+    the net's data places alone, the acknowledgements stripped
+    (:func:`~repro.core.rate.dependence_cycle_time`, Howard on the data
+    rows of the edge table), whose implicit self-loops give the
+    ``max τ`` floor.  Self-arcs (accumulators) are
     capacity-1 by non-reentrance and excluded from the optimisation.
     The result is re-verified by Howard on the rebuilt net.
     """
@@ -446,33 +447,19 @@ def balance_buffers(
 
 
 def _verify_balance(pn: SdspPetriNet, balance: BufferBalance) -> None:
-    """Rebuild the net with the balanced capacities and prove the cycle
-    time meets the target."""
-    net = PetriNet(f"{pn.net.name}-balanced")
-    tokens: Dict[str, int] = {}
-    for transition in pn.net.transitions:
-        net.add_transition(transition.name, transition.annotation)
-    kept = set(pn.net.transition_names)
-    for arc in pn.sdsp.all_data_arcs:
-        if arc.source not in kept or arc.target not in kept:
-            continue
-        data_place = f"{DATA_PREFIX}[{arc.identifier}]"
-        net.add_place(data_place, annotation="data")
-        net.add_arc(arc.source, data_place)
-        net.add_arc(data_place, arc.target)
-        if arc.initial_tokens:
-            tokens[data_place] = arc.initial_tokens
-        if arc.source == arc.target:
-            continue  # self-arcs carry no ack
-        ack_place = f"{ACK_PREFIX}[{arc.identifier}]"
-        net.add_place(ack_place, annotation="ack")
-        net.add_arc(arc.target, ack_place)
-        net.add_arc(ack_place, arc.source)
-        spare = balance.capacities[arc.identifier] - arc.initial_tokens
-        if spare:
-            tokens[ack_place] = spare
-    view = MarkedGraphView(net, Marking(tokens, net))
-    achieved = howard_analysis(view, pn.durations).cycle_time
+    """Re-run Howard on the SDSP-PN's edge table with the balanced
+    capacities on the ack places, and prove the cycle time meets the
+    target."""
+    edges = list(pn.edges)
+    row_of = {row[0]: index for index, row in enumerate(edges)}
+    for identifier, ack_place in pn.ack_place_of.items():
+        data_tokens = edges[row_of[pn.data_place_of[identifier]]][3]
+        place, producer, consumer, _ = edges[row_of[ack_place]]
+        spare = balance.capacities[identifier] - data_tokens
+        edges[row_of[ack_place]] = (place, producer, consumer, spare)
+    achieved = howard_table_analysis(
+        pn.net.transition_names, edges, pn.durations
+    ).cycle_time
     if achieved > balance.target_period:
         raise AnalysisError(
             f"balanced allocation reaches cycle time {achieved}, above the "

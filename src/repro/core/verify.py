@@ -101,12 +101,9 @@ def verify_dependences(
     scheduled = set(schedule.instructions)
     k = schedule.iterations_per_kernel
     start_of = schedule.start_of
-    for place in pn.net.place_names:
-        (producer,) = pn.net.input_transitions(place)
-        (consumer,) = pn.net.output_transitions(place)
+    for place, producer, consumer, tokens in pn.edges:
         if producer not in scheduled or consumer not in scheduled:
             continue
-        tokens = pn.initial[place]
         latency = latency_of(producer)
         horizon = k + max(
             schedule.prologue_length(consumer),

@@ -66,18 +66,32 @@ class DataArc:
         return self.kind is ArcKind.FEEDBACK
 
 
+# enum members read on every add_arc, bound once
+_SWITCH = ActorKind.SWITCH
+_NO_OUTPUTS = (ActorKind.STORE, ActorKind.SINK)
+_FEEDBACK = ArcKind.FEEDBACK
+
+
 class DataflowGraph:
     """A mutable static dataflow graph.
 
     Use :class:`repro.dataflow.builder.GraphBuilder` for ergonomic
     construction; this class provides the structural queries the rest
     of the library needs.
+
+    The arcs are indexed by driven input port, by target and by source,
+    so adding an arc and listing an actor's arcs cost time in that
+    actor's degree, not in the graph: building and validating a graph
+    are linear in it.
     """
 
     def __init__(self, name: str = "dataflow") -> None:
         self.name = name
         self._actors: Dict[str, Actor] = {}
         self._arcs: List[DataArc] = []
+        self._driven: Set[Tuple[str, int]] = set()
+        self._in: Dict[str, List[DataArc]] = {}
+        self._out: Dict[str, List[DataArc]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -86,49 +100,53 @@ class DataflowGraph:
         if actor.name in self._actors:
             raise DataflowError(f"actor {actor.name!r} already exists")
         self._actors[actor.name] = actor
+        self._in[actor.name] = []
+        self._out[actor.name] = []
         return actor
 
     def add_arc(self, arc: DataArc) -> DataArc:
-        if arc.source not in self._actors:
-            raise DataflowError(f"arc source {arc.source!r} is not an actor")
-        if arc.target not in self._actors:
-            raise DataflowError(f"arc target {arc.target!r} is not an actor")
-        target = self._actors[arc.target]
-        if not 0 <= arc.target_port < max(target.arity, 1):
+        source_name, target_name, port = arc.source, arc.target, arc.target_port
+        source = self._actors.get(source_name)
+        if source is None:
+            raise DataflowError(f"arc source {source_name!r} is not an actor")
+        target = self._actors.get(target_name)
+        if target is None:
+            raise DataflowError(f"arc target {target_name!r} is not an actor")
+        if not 0 <= port < max(target.arity, 1):
             raise DataflowError(
-                f"target port {arc.target_port} out of range for actor "
-                f"{arc.target!r} (arity {target.arity})"
+                f"target port {port} out of range for actor "
+                f"{target_name!r} (arity {target.arity})"
             )
-        source = self._actors[arc.source]
-        max_source_port = 2 if source.kind is ActorKind.SWITCH else 1
-        if not 0 <= arc.source_port < max_source_port:
+        kind = source.kind
+        if not 0 <= arc.source_port < (2 if kind is _SWITCH else 1):
             raise DataflowError(
                 f"source port {arc.source_port} out of range for actor "
-                f"{arc.source!r}"
+                f"{source_name!r}"
             )
-        if source.kind in (ActorKind.STORE, ActorKind.SINK):
+        if kind in _NO_OUTPUTS:
             raise DataflowError(
-                f"{source.kind.value} actor {arc.source!r} has no outputs"
+                f"{kind.value} actor {source_name!r} has no outputs"
             )
-        for existing in self._arcs:
-            if (
-                existing.target == arc.target
-                and existing.target_port == arc.target_port
-            ):
+        driven = (target_name, port)
+        if driven in self._driven:
+            raise DataflowError(
+                f"input port {port} of {target_name!r} already "
+                "driven by another arc"
+            )
+        if arc.kind is _FEEDBACK:
+            if arc.initial_tokens < 1:
                 raise DataflowError(
-                    f"input port {arc.target_port} of {arc.target!r} already "
-                    "driven by another arc"
+                    f"feedback arc {arc.identifier} must carry at least one "
+                    "initial token"
                 )
-        if arc.kind is ArcKind.FEEDBACK and arc.initial_tokens < 1:
-            raise DataflowError(
-                f"feedback arc {arc.identifier} must carry at least one "
-                "initial token"
-            )
-        if arc.kind is ArcKind.FORWARD and arc.initial_tokens != 0:
+        elif arc.initial_tokens != 0:
             raise DataflowError(
                 f"forward arc {arc.identifier} must start empty"
             )
         self._arcs.append(arc)
+        self._driven.add(driven)
+        self._in[target_name].append(arc)
+        self._out[source_name].append(arc)
         return arc
 
     # ------------------------------------------------------------------
@@ -160,14 +178,13 @@ class DataflowGraph:
 
     def in_arcs(self, actor: str) -> List[DataArc]:
         """Input arcs of ``actor`` sorted by target port."""
-        arcs = [a for a in self._arcs if a.target == actor]
-        arcs.sort(key=lambda a: a.target_port)
-        return arcs
+        return sorted(self._in.get(actor, ()), key=lambda a: a.target_port)
 
     def out_arcs(self, actor: str) -> List[DataArc]:
-        arcs = [a for a in self._arcs if a.source == actor]
-        arcs.sort(key=lambda a: (a.source_port, a.target, a.target_port))
-        return arcs
+        return sorted(
+            self._out.get(actor, ()),
+            key=lambda a: (a.source_port, a.target, a.target_port),
+        )
 
     def forward_arcs(self) -> List[DataArc]:
         return [a for a in self._arcs if a.kind is ArcKind.FORWARD]

@@ -6,8 +6,14 @@ DAG, loop-carried dependences of distance one carried by feedback arcs
 with a single initial token, and conditionals expressed as well-formed
 switch/merge subgraphs.  :func:`validate` checks these conditions and
 returns a structured report; :func:`require_valid` raises on the first
-error, and is called by the SDSP-PN construction so malformed graphs
-fail loudly at compile time rather than deadlocking a simulation.
+error, so malformed graphs fail loudly at compile time rather than
+deadlocking a simulation.  Building an :class:`~repro.core.sdsp.Sdsp`
+calls it, so a graph is validated once per compile (by the
+``translate`` stage) and on every raw graph given to ``Sdsp``,
+:func:`~repro.core.sdsp_pn.build_sdsp_pn` or
+:func:`~repro.core.rate.dependence_cycle_time`.  Unrolling a valid
+graph keeps it valid (:func:`~repro.loops.unroll.unroll_graph`), so an
+unrolled graph is not validated again.
 """
 
 from __future__ import annotations

@@ -24,7 +24,14 @@ The acknowledgement structure is *not* copied — it is re-derived from
 the unrolled data graph by the usual SDSP-PN construction, which is
 exactly what gives the unrolled loop ``U`` independent buffers per base
 arc and lets the steady-state rate per *base* instruction climb to the
-dependence bound (:func:`repro.core.rate.dependence_bound_rate`).
+dependence bound (:func:`repro.core.rate.dependence_bound_rate`).  That
+bound is Howard's on the data rows of the base SDSP-PN's edge table
+(:func:`repro.core.sdsp_pn.sdsp_pn_table`), with no net built.
+``--unroll auto`` picks the smallest factor that reaches it
+(:func:`repro.compiler.stages.select_unroll`); each candidate is this
+module's unrolled graph plus its table's rows, analysed by Howard, with
+no net built and no validation, because unrolling keeps a valid SDSP
+valid (:func:`unroll_graph`).
 
 ``unroll_graph(g, 1)`` returns a plain copy with the original node
 names, so the ``U = 1`` path of the compiler is byte-identical to the
@@ -33,9 +40,9 @@ pre-unrolling pipeline.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, Union
 
+from ..dataflow.actors import Actor
 from ..dataflow.graph import ArcKind, DataArc, DataflowGraph
 from ..errors import DataflowError, ReproError
 
@@ -132,12 +139,35 @@ def unroll_graph(graph: DataflowGraph, factor: int) -> DataflowGraph:
     arc of distance ``d`` from ``u`` to ``v`` becomes ``factor`` arcs
     ``u@k -> v@(k+d) mod factor`` carrying ``(k+d) // factor`` tokens.
 
-    The result is again a valid static dataflow graph whenever the
-    input's dependence distances do not exceed ``factor`` (the loop
-    frontend normalises all distances to 1 via carry chains, so
-    compiled graphs always qualify); a distance large enough to leave
-    more than one token on an unrolled arc fails the usual SDSP
-    validation downstream.
+    **Unrolling keeps a valid SDSP valid**, so the compiler validates a
+    graph once, before unrolling it (:meth:`repro.core.sdsp.Sdsp.
+    unrolled`).  In a valid SDSP every distance ``d`` is 0 (a forward
+    arc) or 1 (a feedback arc, one initial token), and
+    :func:`repro.dataflow.validate.validate` finds no error in the
+    unrolled graph ``U = factor``:
+
+    * *Each input port is driven by exactly one copy arc.*  Port ``p``
+      of ``v@j`` is driven by the copy ``k = (j − d) mod U`` of the one
+      base arc driving port ``p`` of ``v``, and by no other.
+    * *Token-free arcs form no cycle.*  A token-free copy arc has
+      ``k + d < U``: it never wraps past copy ``U − 1``, so along a
+      token-free path the copy index never falls, and it rises on
+      every distance-1 arc.  A token-free cycle in the copy therefore
+      uses only distance-0 arcs, all within one copy, and would project
+      to a cycle of forward arcs in the base, which validation
+      excluded.
+    * *Feedback arcs carry exactly one token.*  An arc of distance 1
+      leaves ``⌊(k+1)/U⌋ ≤ 1`` token (``k ≤ U − 1``), and an arc of
+      distance 0 leaves none.
+    * *Switches and merges keep their pairing.*  Every copy of a switch
+      has both branches consumed, because every base arc is copied for
+      every ``k``, and the copies hold merges only if the base does.
+
+    Its warnings may differ (``U`` copies of a DOALL body are not
+    weakly connected); they are not errors.  A property test checks
+    the claim on generated loops for ``U`` up to 16, in both I/O
+    modes.  A distance above 1 is outside the SDSP model: it can leave
+    more than one token on an unrolled arc, which validation rejects.
     """
     if isinstance(factor, bool) or not isinstance(factor, int):
         raise DataflowError(
@@ -160,23 +190,21 @@ def unroll_graph(graph: DataflowGraph, factor: int) -> DataflowGraph:
     for k in range(factor):
         for actor in graph.actors:
             unrolled.add_actor(
-                dataclasses.replace(actor, name=copy_name(actor.name, k))
+                Actor(copy_name(actor.name, k), actor.kind, actor.arity,
+                      actor.params)
             )
     for arc in graph.arcs:
         distance = arc.initial_tokens  # 0 on forward arcs, d on feedback
         for k in range(factor):
-            target_copy = (k + distance) % factor
             tokens = (k + distance) // factor
             unrolled.add_arc(
                 DataArc(
-                    source=copy_name(arc.source, k),
-                    target=copy_name(arc.target, target_copy),
-                    target_port=arc.target_port,
-                    kind=(
-                        ArcKind.FEEDBACK if tokens >= 1 else ArcKind.FORWARD
-                    ),
-                    source_port=arc.source_port,
-                    initial_tokens=tokens,
+                    copy_name(arc.source, k),
+                    copy_name(arc.target, (k + distance) % factor),
+                    arc.target_port,
+                    ArcKind.FEEDBACK if tokens else ArcKind.FORWARD,
+                    arc.source_port,
+                    tokens,
                 )
             )
     return unrolled

@@ -14,7 +14,7 @@ from .._lazy import lazy_exports
 #: submodule -> the public names it defines; each submodule is imported
 #: when one of its names is first read (see :mod:`repro._lazy`)
 _EXPORTS = {
-    "net": ("Arc", "PetriNet", "Place", "Transition"),
+    "net": ("Arc", "PetriNet", "Place", "PlaceRow", "Transition"),
     "marking": ("Marking", "enabled_transitions", "fire"),
     "reachability": ("ReachabilityGraph", "explore"),
     "properties": (
@@ -22,8 +22,8 @@ _EXPORTS = {
         "is_bounded", "is_consistent", "is_live", "is_persistent", "is_safe",
     ),
     "marked_graph": (
-        "MarkedGraphView", "SimpleCycle", "expand_node_cycle",
-        "require_marked_graph",
+        "EdgeRow", "MarkedGraphView", "SimpleCycle", "edge_table",
+        "expand_node_cycle", "require_marked_graph", "token_free_cycle",
     ),
     "timed": ("InstantaneousState", "TimedPetriNet"),
     "simulator": (
@@ -37,7 +37,7 @@ _EXPORTS = {
     ),
     "howard": (
         "HowardResult", "check_certificate", "cycle_time_howard",
-        "howard_analysis",
+        "howard_analysis", "howard_table_analysis",
     ),
     "analysis": (
         "CriticalCycleReport", "CycleMetrics", "computation_rate",

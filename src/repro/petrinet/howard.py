@@ -17,7 +17,10 @@ lever used by the max-plus scheduling literature, e.g. Zorzenon et al.
 2022 and Millo & de Simone 2012), which is why every command routes
 through it, starting with :func:`repro.core.rate.optimal_rate`.  A net
 with a token-free cycle has no cycle time; it is rejected up front,
-naming that cycle (:meth:`MarkedGraphView.token_free_cycle`).
+naming that cycle (:func:`~repro.petrinet.marked_graph.token_free_cycle`).
+The iteration reads the net's edge table, one row per place
+(:attr:`MarkedGraphView.edges`); :func:`howard_table_analysis` runs it
+on a table alone, with no net built.
 
 The iteration maintains a *policy* — one outgoing edge per node — whose
 one-cycle-per-component functional graph is evaluated exactly, then
@@ -63,17 +66,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from ..digraph import simple_cycles
 from ..errors import AnalysisError
-from .marked_graph import MarkedGraphView, SimpleCycle
+from .marked_graph import (
+    EdgeRow, MarkedGraphView, SimpleCycle, token_free_cycle,
+)
 
 __all__ = [
     "HowardResult",
     "check_certificate",
     "cycle_time_howard",
     "howard_analysis",
+    "howard_table_analysis",
 ]
 
 # A cycle ratio as a reduced ``(numerator, denominator)`` pair of ints,
@@ -85,8 +93,7 @@ _Gain = Tuple[int, int]
 TightEdge = Tuple[str, str, Optional[str]]
 
 
-@dataclass(frozen=True)
-class _Edge:
+class _Edge(NamedTuple):
     """One out-edge of the transition digraph: follow ``place`` (or the
     implicit self-loop when ``place`` is None) to ``target``, paying
     ``weight`` execution time over ``height`` tokens."""
@@ -156,18 +163,14 @@ class HowardResult:
 
 
 def _build_edges(
-    view: MarkedGraphView, durations: Mapping[str, int]
+    transitions: Sequence[str],
+    edges: Sequence[EdgeRow],
+    durations: Mapping[str, int],
 ) -> Dict[str, List[_Edge]]:
-    net = view.net
-    initial = view.initial
-    out: Dict[str, List[_Edge]] = {t: [] for t in net.transition_names}
-    for place in net.place_names:
-        (producer,) = net.input_transitions(place)
-        (consumer,) = net.output_transitions(place)
-        out[producer].append(
-            _Edge(consumer, durations[producer], initial[place], place)
-        )
-    for transition in net.transition_names:
+    out: Dict[str, List[_Edge]] = {t: [] for t in transitions}
+    for place, producer, consumer, tokens in edges:
+        out[producer].append(_Edge(consumer, durations[producer], tokens, place))
+    for transition in transitions:
         out[transition].append(
             _Edge(transition, durations[transition], 1, None)
         )
@@ -261,17 +264,31 @@ def howard_analysis(
 ) -> HowardResult:
     """Maximum cycle ratio of a live timed marked graph by policy
     iteration, with a witness critical cycle (or self-loop)."""
-    nodes = tuple(view.net.transition_names)
+    return howard_table_analysis(
+        view.net.transition_names, view.edges, durations
+    )
+
+
+def howard_table_analysis(
+    transitions: Sequence[str],
+    edges: Sequence[EdgeRow],
+    durations: Mapping[str, int],
+) -> HowardResult:
+    """:func:`howard_analysis` of the marked graph given by its
+    ``transitions`` and its edge table (one
+    :data:`~repro.petrinet.marked_graph.EdgeRow` per place), with no
+    net built."""
+    nodes = tuple(transitions)
     if not nodes:
         raise AnalysisError("net has no transitions; cycle time undefined")
-    dead = view.token_free_cycle()
+    dead = token_free_cycle(nodes, edges)
     if dead is not None:
         raise AnalysisError(
             "cycle through "
             + " -> ".join(dead.transitions)
             + " carries no token: the net is not live and has no cycle time"
         )
-    out_edges = _build_edges(view, durations)
+    out_edges = _build_edges(nodes, edges, durations)
     # Start from the always-present self-loops: a valid policy whose
     # evaluation (λ(t) = τ(t)) is the paper's self-loop floor.
     policy: Dict[str, _Edge] = {u: out_edges[u][-1] for u in nodes}
@@ -395,14 +412,8 @@ def check_certificate(
     checks) shows it is attained.
     """
     gains, values = result.gains, result.values
-    net = view.net
-    edges = [
-        (net.input_transitions(place)[0], net.output_transitions(place)[0],
-         view.initial[place], place)
-        for place in net.place_names
-    ]
-    edges += [(t, t, 1, None) for t in net.transition_names]
-    for producer, consumer, height, place in edges:
+    self_loops = [(None, t, t, 1) for t in view.net.transition_names]
+    for place, producer, consumer, height in [*view.edges, *self_loops]:
         num, den = gains[producer]
         target_num, target_den = gains[consumer]
         where = (

@@ -49,16 +49,29 @@ from .marking import Marking
 from .net import PetriNet
 
 __all__ = [
+    "EdgeRow",
     "SimpleCycle",
     "MarkedGraphView",
+    "edge_table",
     "expand_node_cycle",
     "require_marked_graph",
+    "token_free_cycle",
 ]
 
 
-def require_marked_graph(net: PetriNet) -> None:
-    """Raise :class:`NotAMarkedGraphError` unless ``net`` is a marked
-    graph, naming an offending place for diagnosis."""
+#: One place of a marked graph as an edge of its transition digraph:
+#: ``(place, producer, consumer, initial tokens)``.
+EdgeRow = Tuple[str, str, str, int]
+
+
+def edge_table(
+    net: PetriNet, initial: Mapping[str, int]
+) -> Tuple[EdgeRow, ...]:
+    """The edge table of a marked graph: one :data:`EdgeRow` per place,
+    in net order.  Raises :class:`NotAMarkedGraphError`, naming the
+    first offending place, unless every place has exactly one producer
+    and one consumer."""
+    rows = []
     for place in net.place_names:
         producers = net.input_transitions(place)
         consumers = net.output_transitions(place)
@@ -68,6 +81,35 @@ def require_marked_graph(net: PetriNet) -> None:
                 f"{len(consumers)} consumers; a marked graph requires "
                 "exactly one of each"
             )
+        rows.append((place, producers[0], consumers[0], initial.get(place, 0)))
+    return tuple(rows)
+
+
+def require_marked_graph(net: PetriNet) -> None:
+    """Raise :class:`NotAMarkedGraphError` unless ``net`` is a marked
+    graph, naming an offending place for diagnosis."""
+    edge_table(net, {})
+
+
+def token_free_cycle(
+    transitions: Sequence[str], edges: Sequence[EdgeRow]
+) -> Optional["SimpleCycle"]:
+    """A cycle of the marked graph ``edges`` whose places all start
+    empty — the witness against liveness — or ``None`` when it is live.
+    Such a cycle is exactly a cycle of the subgraph of token-free
+    places, so one depth-first search finds it, in ``O(P + T)``."""
+    zero: Dict[str, Dict[str, str]] = {t: {} for t in transitions}
+    for place, producer, consumer, tokens in edges:
+        if not tokens:
+            zero[producer].setdefault(consumer, place)
+    cycle = digraph.find_cycle(zero)
+    if cycle is None:
+        return None
+    size = len(cycle)
+    return SimpleCycle(
+        tuple(cycle),
+        tuple(zero[cycle[i]][cycle[(i + 1) % size]] for i in range(size)),
+    )
 
 
 @dataclass(frozen=True)
@@ -111,16 +153,27 @@ class SimpleCycle:
 class MarkedGraphView:
     """Cycle-level analysis of a marked graph with an initial marking.
 
+    Every analysis reads :attr:`edges`, the net's :func:`edge_table`.
+    A caller that built the net from a table passes it as ``edges``
+    (then the net is a marked graph by construction and is not
+    checked); otherwise the view derives it once, checking the net.
     The view caches the transition-level hops (the places from each
     producer to each consumer) and the simple-cycle enumeration.
     Theorems A.5.1 (:meth:`is_live`) and A.5.2 (:meth:`is_safe`) are
     decided in polynomial time, without the enumeration.
     """
 
-    def __init__(self, net: PetriNet, initial: Marking) -> None:
-        require_marked_graph(net)
+    def __init__(
+        self,
+        net: PetriNet,
+        initial: Marking,
+        edges: Optional[Sequence[EdgeRow]] = None,
+    ) -> None:
         self.net = net
         self.initial = initial
+        self.edges: Sequence[EdgeRow] = (
+            edge_table(net, initial) if edges is None else edges
+        )
         self._hops: Optional[Dict[str, Dict[str, List[str]]]] = None
         self._cycles: Optional[List[SimpleCycle]] = None
 
@@ -135,9 +188,7 @@ class MarkedGraphView:
             hops: Dict[str, Dict[str, List[str]]] = {
                 t: {} for t in self.net.transition_names
             }
-            for place in self.net.place_names:
-                (producer,) = self.net.input_transitions(place)
-                (consumer,) = self.net.output_transitions(place)
+            for place, producer, consumer, _ in self.edges:
                 hops[producer].setdefault(consumer, []).append(place)
             for targets in hops.values():
                 for places in targets.values():
@@ -179,26 +230,9 @@ class MarkedGraphView:
     # ------------------------------------------------------------------
     def token_free_cycle(self) -> Optional[SimpleCycle]:
         """A cycle whose places all start empty — the witness against
-        liveness — or ``None`` when the net is live.  Such a cycle is
-        exactly a cycle of the subgraph of token-free places, so one
-        depth-first search finds it, in ``O(P + T)``."""
-        zero: Dict[str, Dict[str, str]] = {t: {} for t in self.net.transition_names}
-        for place in self.net.place_names:
-            if self.initial[place] == 0:
-                (producer,) = self.net.input_transitions(place)
-                (consumer,) = self.net.output_transitions(place)
-                zero[producer].setdefault(consumer, place)
-        transitions = digraph.find_cycle(zero)
-        if transitions is None:
-            return None
-        size = len(transitions)
-        return SimpleCycle(
-            tuple(transitions),
-            tuple(
-                zero[transitions[i]][transitions[(i + 1) % size]]
-                for i in range(size)
-            ),
-        )
+        liveness — or ``None`` when the net is live
+        (:func:`token_free_cycle`)."""
+        return token_free_cycle(self.net.transition_names, self.edges)
 
     def is_live(self) -> bool:
         """Theorem A.5.1: live iff every simple cycle carries a token,
@@ -220,21 +254,20 @@ class MarkedGraphView:
         transition, over the token counts.  On a live net every cycle
         carries a token, so ``p`` is covered iff that number is 1; a
         place on no cycle is unsafe."""
-        tokens: Dict[str, Dict[str, int]] = {}
-        for producer, targets in self._transition_hops().items():
-            tokens[producer] = {
-                consumer: min(self.initial[p] for p in places)
-                for consumer, places in targets.items()
-            }
+        tokens: Dict[str, Dict[str, int]] = {
+            t: {} for t in self.net.transition_names
+        }
+        for _, producer, consumer, count in self.edges:
+            fewest = tokens[producer].get(consumer)
+            if fewest is None or count < fewest:
+                tokens[producer][consumer] = count
         distances: Dict[str, Dict[str, int]] = {}
         unsafe = []
-        for place in self.net.place_names:
-            (producer,) = self.net.input_transitions(place)
-            (consumer,) = self.net.output_transitions(place)
+        for place, producer, consumer, count in self.edges:
             if consumer not in distances:
                 distances[consumer] = digraph.shortest_paths(tokens, consumer)[0]
             back = distances[consumer].get(producer)
-            if back is None or self.initial[place] + back != 1:
+            if back is None or count + back != 1:
                 unsafe.append(place)
         return unsafe
 

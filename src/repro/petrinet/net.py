@@ -7,6 +7,15 @@ places (token production).  This module provides the structural layer
 only — markings live in :mod:`repro.petrinet.marking` and time in
 :mod:`repro.petrinet.timed`.
 
+A net is built one element at a time (:meth:`PetriNet.add_place`,
+:meth:`~PetriNet.add_transition`, :meth:`~PetriNet.add_arc`), which
+rewriting passes such as the storage optimiser use, or in one bulk
+pass from rows of ``(place, annotation, producers, consumers)``
+(:meth:`PetriNet.from_rows`), which the SDSP-PN and SDSP-SCP-PN
+constructions use: same checks, no method call per arc.  The net keeps
+names, annotations and adjacency lists; a :class:`Place` or
+:class:`Transition` record is built when one is read.
+
 Places and transitions are identified by string names, unique within
 their net.  The dot-notation of the paper (``•t`` for input places of a
 transition, ``t•`` for output places, and symmetrically for places) is
@@ -27,11 +36,15 @@ exposed as :meth:`PetriNet.preset` and :meth:`PetriNet.postset`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import NetConstructionError
 
-__all__ = ["Place", "Transition", "Arc", "PetriNet"]
+__all__ = ["Place", "Transition", "Arc", "PetriNet", "PlaceRow"]
+
+#: One place of a net built by :meth:`PetriNet.from_rows`:
+#: ``(name, annotation, producers, consumers)``.
+PlaceRow = Tuple[str, str, Sequence[str], Sequence[str]]
 
 
 @dataclass(frozen=True)
@@ -66,6 +79,21 @@ class Arc:
         return f"{self.source} -> {self.target}"
 
 
+def _require_distinct(
+    place: str, producers: Sequence[str], consumers: Sequence[str]
+) -> None:
+    """Reject a :data:`PlaceRow` that names one arc twice."""
+    for ends, arc in (
+        (producers, "{1!r} -> {0!r}"),
+        (consumers, "{0!r} -> {1!r}"),
+    ):
+        if len(set(ends)) < len(ends):
+            twice = next(t for i, t in enumerate(ends) if t in ends[:i])
+            raise NetConstructionError(
+                "duplicate arc " + arc.format(place, twice)
+            )
+
+
 class PetriNet:
     """A mutable Petri-net structure ``(P, T, A)``.
 
@@ -84,14 +112,76 @@ class PetriNet:
 
     def __init__(self, name: str = "net") -> None:
         self.name = name
-        self._places: Dict[str, Place] = {}
-        self._transitions: Dict[str, Transition] = {}
-        self._arcs: Set[Tuple[str, str]] = set()
+        # name -> annotation; Place/Transition records are built on read
+        self._places: Dict[str, str] = {}
+        self._transitions: Dict[str, str] = {}
         # Adjacency, kept in insertion order for deterministic iteration.
+        # Each arc appears in exactly two lists, so the lists are the
+        # arc set.
         self._place_inputs: Dict[str, List[str]] = {}
         self._place_outputs: Dict[str, List[str]] = {}
         self._transition_inputs: Dict[str, List[str]] = {}
         self._transition_outputs: Dict[str, List[str]] = {}
+
+    @classmethod
+    def from_rows(
+        cls,
+        name: str,
+        transitions: Iterable[Tuple[str, str]],
+        places: Iterable[PlaceRow],
+    ) -> "PetriNet":
+        """Build a whole net in one pass.
+
+        ``transitions`` lists ``(name, annotation)`` pairs and
+        ``places`` lists :data:`PlaceRow` entries ``(name, annotation,
+        producers, consumers)``, each in net order; the arcs are
+        ``producer -> place`` and ``place -> consumer`` for every row,
+        appended to each transition's arc lists in row order.  The net
+        is the one :meth:`add_transition`, :meth:`add_place` and
+        :meth:`add_arc` calls in that order would build, and the same
+        checks are made: every name fresh and non-empty, every arc
+        endpoint a known transition, no arc twice.
+        """
+        net = cls(name)
+        transition_names = net._transitions
+        transition_inputs = net._transition_inputs
+        transition_outputs = net._transition_outputs
+        for transition, annotation in transitions:
+            if not transition:
+                raise NetConstructionError("empty names are not allowed")
+            if transition in transition_names:
+                raise NetConstructionError(
+                    f"name {transition!r} already used in net"
+                )
+            transition_names[transition] = annotation
+            transition_inputs[transition] = []
+            transition_outputs[transition] = []
+        place_names = net._places
+        place_inputs = net._place_inputs
+        place_outputs = net._place_outputs
+        for place, annotation, producers, consumers in places:
+            if not place:
+                raise NetConstructionError("empty names are not allowed")
+            if place in place_names or place in transition_names:
+                raise NetConstructionError(f"name {place!r} already used in net")
+            place_names[place] = annotation
+            place_inputs[place] = list(producers)
+            place_outputs[place] = list(consumers)
+            for producer in producers:
+                if producer not in transition_outputs:
+                    raise NetConstructionError(
+                        f"unknown arc source {producer!r} of place {place!r}"
+                    )
+                transition_outputs[producer].append(place)
+            for consumer in consumers:
+                if consumer not in transition_inputs:
+                    raise NetConstructionError(
+                        f"unknown arc target {consumer!r} of place {place!r}"
+                    )
+                transition_inputs[consumer].append(place)
+            if len(producers) > 1 or len(consumers) > 1:
+                _require_distinct(place, producers, consumers)
+        return net
 
     # ------------------------------------------------------------------
     # Construction
@@ -100,20 +190,18 @@ class PetriNet:
         """Add a place.  Raises if the name is already used by a place or
         a transition (the two name spaces must be disjoint)."""
         self._check_fresh(name)
-        place = Place(name, annotation)
-        self._places[name] = place
+        self._places[name] = annotation
         self._place_inputs[name] = []
         self._place_outputs[name] = []
-        return place
+        return Place(name, annotation)
 
     def add_transition(self, name: str, annotation: str = "") -> Transition:
         """Add a transition.  Raises on name collision."""
         self._check_fresh(name)
-        transition = Transition(name, annotation)
-        self._transitions[name] = transition
+        self._transitions[name] = annotation
         self._transition_inputs[name] = []
         self._transition_outputs[name] = []
-        return transition
+        return Transition(name, annotation)
 
     def add_arc(self, source: str, target: str) -> Arc:
         """Add a directed arc between a place and a transition.
@@ -138,9 +226,8 @@ class PetriNet:
             raise NetConstructionError(f"unknown arc source {source!r}")
         if not target_is_place and target not in self._transitions:
             raise NetConstructionError(f"unknown arc target {target!r}")
-        if (source, target) in self._arcs:
+        if self._has_arc(source, target):
             raise NetConstructionError(f"duplicate arc {source!r} -> {target!r}")
-        self._arcs.add((source, target))
         if source_is_place:
             self._place_outputs[source].append(target)
             self._transition_inputs[target].append(source)
@@ -152,15 +239,21 @@ class PetriNet:
     def remove_arc(self, source: str, target: str) -> None:
         """Remove an existing arc (used by net-rewriting passes such as
         the storage optimiser)."""
-        if (source, target) not in self._arcs:
+        if not self._has_arc(source, target):
             raise NetConstructionError(f"no arc {source!r} -> {target!r} to remove")
-        self._arcs.discard((source, target))
         if source in self._places:
             self._place_outputs[source].remove(target)
             self._transition_inputs[target].remove(source)
         else:
             self._transition_outputs[source].remove(target)
             self._place_inputs[target].remove(source)
+
+    def _has_arc(self, source: str, target: str) -> bool:
+        if source in self._places:
+            return target in self._place_outputs[source]
+        if source in self._transitions:
+            return target in self._transition_outputs[source]
+        return False
 
     def remove_place(self, name: str) -> None:
         """Remove a place and all arcs touching it."""
@@ -185,11 +278,11 @@ class PetriNet:
     # ------------------------------------------------------------------
     @property
     def places(self) -> Tuple[Place, ...]:
-        return tuple(self._places.values())
+        return tuple(Place(*item) for item in self._places.items())
 
     @property
     def transitions(self) -> Tuple[Transition, ...]:
-        return tuple(self._transitions.values())
+        return tuple(Transition(*item) for item in self._transitions.items())
 
     @property
     def place_names(self) -> Tuple[str, ...]:
@@ -201,7 +294,10 @@ class PetriNet:
 
     @property
     def arcs(self) -> FrozenSet[Tuple[str, str]]:
-        return frozenset(self._arcs)
+        return frozenset(
+            [(t, p) for p, ts in self._place_inputs.items() for t in ts]
+            + [(p, t) for p, ts in self._place_outputs.items() for t in ts]
+        )
 
     def has_place(self, name: str) -> bool:
         return name in self._places
@@ -211,15 +307,24 @@ class PetriNet:
 
     def place(self, name: str) -> Place:
         try:
-            return self._places[name]
+            return Place(name, self._places[name])
         except KeyError:
             raise NetConstructionError(f"unknown place {name!r}") from None
 
     def transition(self, name: str) -> Transition:
         try:
-            return self._transitions[name]
+            return Transition(name, self._transitions[name])
         except KeyError:
             raise NetConstructionError(f"unknown transition {name!r}") from None
+
+    def annotation(self, name: str) -> str:
+        """The annotation of place or transition ``name``, read without
+        building its :class:`Place` or :class:`Transition` record."""
+        if name in self._places:
+            return self._places[name]
+        if name in self._transitions:
+            return self._transitions[name]
+        raise NetConstructionError(f"unknown node {name!r}")
 
     # Dot notation ------------------------------------------------------
     def preset(self, name: str) -> Tuple[str, ...]:
@@ -294,11 +399,11 @@ class PetriNet:
         place_index = {p: i for i, p in enumerate(self._places)}
         transition_index = {t: j for j, t in enumerate(self._transitions)}
         matrix = [[0] * len(transition_index) for _ in place_index]
-        for source, target in self._arcs:
-            if source in self._places:  # consumption p -> t
-                matrix[place_index[source]][transition_index[target]] -= 1
-            else:  # production t -> p
-                matrix[place_index[target]][transition_index[source]] += 1
+        for place, row in zip(self._places, matrix):
+            for transition in self._place_outputs[place]:  # consumption
+                row[transition_index[transition]] -= 1
+            for transition in self._place_inputs[place]:  # production
+                row[transition_index[transition]] += 1
         return matrix
 
     def transition_adjacency(self) -> Dict[str, List[Tuple[str, str]]]:
@@ -318,11 +423,11 @@ class PetriNet:
     def copy(self, name: Optional[str] = None) -> "PetriNet":
         """Structural deep copy (annotations preserved)."""
         clone = PetriNet(name if name is not None else self.name)
-        for place in self._places.values():
-            clone.add_place(place.name, place.annotation)
-        for transition in self._transitions.values():
-            clone.add_transition(transition.name, transition.annotation)
-        for source, target in sorted(self._arcs):
+        for place, annotation in self._places.items():
+            clone.add_place(place, annotation)
+        for transition, annotation in self._transitions.items():
+            clone.add_transition(transition, annotation)
+        for source, target in sorted(self.arcs):
             clone.add_arc(source, target)
         return clone
 
@@ -333,7 +438,10 @@ class PetriNet:
         return name in self._places or name in self._transitions
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        arcs = sum(map(len, self._place_inputs.values())) + sum(
+            map(len, self._place_outputs.values())
+        )
         return (
             f"PetriNet({self.name!r}, |P|={len(self._places)}, "
-            f"|T|={len(self._transitions)}, |A|={len(self._arcs)})"
+            f"|T|={len(self._transitions)}, |A|={arcs})"
         )

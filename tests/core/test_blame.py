@@ -92,12 +92,14 @@ class TestFig2:
         self, monkeypatch, tmp_path
     ):
         """The compile's rate, the ``critical_cycles`` cross-check and
-        the witness all read one Howard run per net."""
+        the witness all read one Howard run per net, and the dependence
+        bound reads the edge table: no ack-free net is built."""
         import io
         from collections import Counter
 
         from repro.cli import main
         from repro.petrinet import howard
+        from repro.petrinet.net import PetriNet
 
         analysed = []
         run = howard.howard_analysis
@@ -106,20 +108,29 @@ class TestFig2:
             analysed.append(view.net)
             return run(view, durations)
 
+        built = []
+        init = PetriNet.__init__
+
+        def record(net, *args, **kwargs):
+            init(net, *args, **kwargs)
+            built.append(net)
+
         monkeypatch.setattr(howard, "howard_analysis", spy)
+        monkeypatch.setattr(PetriNet, "__init__", record)
         loop = tmp_path / "l2.loop"
         loop.write_text(L2_SOURCE)
         out = io.StringIO()
         assert main(["explain", str(loop), "--abstract"], out=out) == 0
         assert "matches the Howard witness" in out.getvalue()
-        # the SDSP-PN (with its ack places) and rate_analysis's
-        # ack-free net, each analysed once
-        assert sorted(Counter(id(net) for net in analysed).values()) == [1, 1]
-        assert any(
-            place.startswith("a[")
-            for net in analysed
-            for place in net.place_names
-        )
+        # one net analysed, once: the SDSP-PN, with its ack places
+        assert list(Counter(id(net) for net in analysed).values()) == [1]
+        assert any(place.startswith("a[") for place in analysed[0].place_names)
+        # and no net with data places but no ack place was built
+        assert built
+        for net in built:
+            places = net.place_names
+            if any(place.startswith("d[") for place in places):
+                assert any(place.startswith("a[") for place in places)
 
 
 class TestFig3Scp:

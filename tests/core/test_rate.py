@@ -7,6 +7,8 @@ import pytest
 
 from repro.core import (
     build_sdsp_pn,
+    dependence_cycle_time,
+    sdsp_pn_table,
     build_sdsp_scp_pn,
     critical_cycles,
     dependence_bound_rate,
@@ -18,7 +20,13 @@ from repro.core import (
 from repro.errors import AnalysisError
 from repro.loops import KERNELS
 from repro.machine import FifoRunPlacePolicy
-from repro.petrinet import detect_frustum
+from repro.petrinet import (
+    Marking,
+    MarkedGraphView,
+    PetriNet,
+    cycle_time_by_enumeration,
+    detect_frustum,
+)
 
 
 class TestOptimalRate:
@@ -136,3 +144,23 @@ class TestDependenceBound:
         assert dependence_bound_rate(l1_graph, include_io=False) >= (
             optimal_rate(pn)
         )
+
+    @pytest.mark.parametrize("key", sorted(KERNELS))
+    @pytest.mark.parametrize("include_io", [True, False])
+    def test_matches_enumeration_on_the_data_places(self, key, include_io):
+        """The bound reads the table's data rows with no net built; the
+        oracle builds the data places' net and enumerates its cycles
+        (implicit self-loops included)."""
+        graph = KERNELS[key].translation().graph
+        table = sdsp_pn_table(graph, include_io=include_io)
+        net = PetriNet.from_rows(
+            "data-only",
+            [(t, "sdsp") for t in table.transitions],
+            [(p, "data", (u,), (v,)) for p, u, v, _ in table.data_edges],
+        )
+        marking = Marking({p: m for p, _, _, m in table.data_edges if m}, net)
+        assert all(p.startswith("d[") for p, _, _, _ in table.data_edges)
+        expected = cycle_time_by_enumeration(
+            MarkedGraphView(net, marking), table.durations
+        )
+        assert dependence_cycle_time(graph, include_io=include_io) == expected

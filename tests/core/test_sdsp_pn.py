@@ -95,12 +95,6 @@ class TestOptions:
         with pytest.raises(NetConstructionError, match="no execution time"):
             build_sdsp_pn(l1_graph, durations={"A": 1})
 
-    def test_no_acks_mode(self, l1_graph):
-        pn = build_sdsp_pn(l1_graph, include_acks=False, include_io=False)
-        assert all(p.annotation != "ack" for p in pn.net.places)
-        # without acks forward places are unbounded: not a safe net
-        assert not pn.view().is_live() or not pn.view().is_safe()
-
     def test_include_io_counts(self, l1_graph):
         full = build_sdsp_pn(l1_graph, include_io=True)
         abstract = build_sdsp_pn(l1_graph, include_io=False)

@@ -83,6 +83,19 @@ class TestQueries:
     def test_out_arcs(self, diamond):
         assert {a.target for a in diamond.out_arcs("a")} == {"b", "c"}
 
+    def test_indexes_agree_with_the_arc_list(self, diamond):
+        for name in diamond.actor_names:
+            assert diamond.in_arcs(name) == sorted(
+                (a for a in diamond.arcs if a.target == name),
+                key=lambda a: a.target_port,
+            )
+            assert diamond.out_arcs(name) == sorted(
+                (a for a in diamond.arcs if a.source == name),
+                key=lambda a: (a.source_port, a.target, a.target_port),
+            )
+        assert diamond.in_arcs("no_such_actor") == []
+        assert diamond.out_arcs("no_such_actor") == []
+
     def test_predecessors_successors(self, diamond):
         assert diamond.predecessors("d") == ["b", "c"]
         assert set(diamond.successors("a")) == {"b", "c"}

@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from repro import compile_loop
 from repro.digraph import simple_cycles
 from repro.core import (
+    Sdsp,
     attribute_bottlenecks,
     build_sdsp_pn,
     count_critical_cycles,
@@ -42,6 +43,7 @@ from repro.core import (
     verify_allocation,
     verify_dependences,
 )
+from repro.dataflow import validate
 from repro.loops import parse_loop, reference_execute, translate, unroll_graph
 from repro.obs import stable_json
 from repro.pipeline import CompiledLoopSummary
@@ -178,6 +180,27 @@ class TestUnrollProperties:
         copied = unroll_graph(graph, 1)
         assert copied.actor_names == graph.actor_names
         assert copied.arcs == graph.arcs
+
+    @given(
+        source=loop_sources(),
+        factor=st.integers(1, 16),
+        include_io=st.booleans(),
+    )
+    @settings(**COMMON)
+    def test_unrolling_keeps_the_sdsp_valid(self, source, factor, include_io):
+        """The compiler validates a graph once, before unrolling it, and
+        takes every unrolled graph as valid (``unroll_graph``'s
+        docstring has the argument).  Validation agrees, and the net
+        built from the unvalidated unrolling is the one a validating
+        build makes, live."""
+        graph = translate(parse_loop(source)).graph
+        assert validate(unroll_graph(graph, factor)).errors == []
+        trusted = build_sdsp_pn(
+            Sdsp(graph).unrolled(factor), include_io=include_io
+        )
+        checked = build_sdsp_pn(unroll_graph(graph, factor), include_io=include_io)
+        assert trusted.edges == checked.edges
+        assert trusted.view().token_free_cycle() is None
 
     @given(source=loop_sources(), factor=st.integers(2, 4))
     @settings(**COMMON)

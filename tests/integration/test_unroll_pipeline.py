@@ -95,6 +95,20 @@ class TestAutoUnroll:
             result = compile_loop(source, include_io=False, unroll="auto")
             assert result.achieved_rate == result.dependence_bound
 
+    def test_search_stops_at_the_cap(self):
+        """A bound no factor up to ``MAX_UNROLL`` reaches fails after the
+        last candidate, naming the cap."""
+        from repro.compiler.stages import select_unroll
+        from repro.errors import AnalysisError
+        from repro.loops import parse_loop, translate
+
+        graph = translate(parse_loop(INTERLEAVE_SOURCE)).graph
+        with pytest.raises(AnalysisError, match="no unroll factor up to 64"):
+            select_unroll(graph, Fraction(3, 4), include_io=False)
+        factor, unrolled = select_unroll(graph, Fraction(2, 3), include_io=False)
+        assert factor == 2
+        assert unrolled.graph.name == "interleavex2"
+
 
 class TestPayloadSchema:
     def summary(self, **kwargs) -> CompiledLoopSummary:

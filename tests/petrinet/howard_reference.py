@@ -79,7 +79,7 @@ def howard_analysis_fraction(
             + " -> ".join(dead.transitions)
             + " carries no token: the net is not live and has no cycle time"
         )
-    out_edges = _build_edges(view, durations)
+    out_edges = _build_edges(nodes, view.edges, durations)
     policy = {u: out_edges[u][-1] for u in nodes}
     iterations = 0
     lam, val = {}, {}

@@ -10,6 +10,7 @@ from repro.petrinet import (
     MarkedGraphView,
     PetriNet,
     SimpleCycle,
+    edge_table,
     fire,
     require_marked_graph,
 )
@@ -157,3 +158,35 @@ class TestTheorems:
         view = l2_pn_abstract.view()
         assert view.is_live()
         assert view.is_safe()
+
+
+class TestEdgeTable:
+    def test_one_row_per_place_in_net_order(self):
+        net, marking = triangle_net(2)
+        assert edge_table(net, marking) == (
+            ("ab", "a", "b", 0),
+            ("bc", "b", "c", 0),
+            ("ca", "c", "a", 2),
+        )
+
+    def test_rejects_a_shared_place(self):
+        net = PetriNet()
+        for name in ("a", "b", "c"):
+            net.add_transition(name)
+        net.add_place("p")
+        net.add_arc("a", "p")
+        net.add_arc("p", "b")
+        net.add_arc("p", "c")
+        with pytest.raises(NotAMarkedGraphError, match="'p' has 1 producers and 2"):
+            edge_table(net, {})
+        with pytest.raises(NotAMarkedGraphError):
+            MarkedGraphView(net, Marking({}))
+
+    @pytest.mark.parametrize("tokens", [0, 1, 2])
+    def test_view_reads_a_given_table(self, tokens):
+        net, marking = triangle_net(tokens)
+        derived = MarkedGraphView(net, marking)
+        given = MarkedGraphView(net, marking, edge_table(net, marking))
+        assert given.edges == derived.edges
+        assert given.token_free_cycle() == derived.token_free_cycle()
+        assert given.unsafe_places() == derived.unsafe_places()

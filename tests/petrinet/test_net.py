@@ -184,3 +184,68 @@ class TestDerivedStructure:
         clone = net.copy()
         assert clone.place("p").annotation == "ack"
         assert clone.transition("t").annotation == "dummy"
+
+
+class TestFromRows:
+    """The bulk constructor builds the net the ``add_*`` calls build, in
+    the same order, with the same checks."""
+
+    ROWS = [
+        ("p", "data", ("a",), ("b",)),
+        ("q", "ack", ("b",), ("a",)),
+        ("run", "run", ("a", "b"), ("a", "b")),
+    ]
+
+    def one_by_one(self):
+        net = PetriNet("n")
+        net.add_transition("a", "sdsp")
+        net.add_transition("b", "sdsp")
+        for place, annotation, producers, consumers in self.ROWS:
+            net.add_place(place, annotation)
+            for producer in producers:
+                net.add_arc(producer, place)
+            for consumer in consumers:
+                net.add_arc(place, consumer)
+        return net
+
+    def test_same_net_as_one_element_at_a_time(self):
+        bulk = PetriNet.from_rows("n", [("a", "sdsp"), ("b", "sdsp")], self.ROWS)
+        single = self.one_by_one()
+        assert bulk.place_names == single.place_names
+        assert bulk.transitions == single.transitions
+        assert bulk.places == single.places
+        assert bulk.arcs == single.arcs
+        for t in bulk.transition_names:
+            assert bulk.input_places(t) == single.input_places(t)
+            assert bulk.output_places(t) == single.output_places(t)
+        for p in bulk.place_names:
+            assert bulk.preset(p) == single.preset(p)
+            assert bulk.postset(p) == single.postset(p)
+        assert bulk.annotation("q") == "ack"
+        assert bulk.annotation("a") == "sdsp"
+
+    @pytest.mark.parametrize(
+        "transitions, rows, message",
+        [
+            ([("", "")], [], "empty names"),
+            ([("a", ""), ("a", "")], [], "already used"),
+            ([("a", "")], [("", "", ("a",), ("a",))], "empty names"),
+            ([("a", "")], [("a", "", ("a",), ("a",))], "already used"),
+            (
+                [("a", "")],
+                [("p", "", ("a",), ("a",)), ("p", "", ("a",), ("a",))],
+                "already used",
+            ),
+            ([("a", "")], [("p", "", ("x",), ("a",))], "unknown arc source"),
+            ([("a", "")], [("p", "", ("a",), ("x",))], "unknown arc target"),
+            ([("a", "")], [("p", "", ("a", "a"), ())], "duplicate arc 'a' -> 'p'"),
+            ([("a", "")], [("p", "", (), ("a", "a"))], "duplicate arc 'p' -> 'a'"),
+        ],
+    )
+    def test_checks(self, transitions, rows, message):
+        with pytest.raises(NetConstructionError, match=message):
+            PetriNet.from_rows("n", transitions, rows)
+
+    def test_annotation_of_unknown_name(self):
+        with pytest.raises(NetConstructionError, match="unknown node"):
+            PetriNet("n").annotation("x")
